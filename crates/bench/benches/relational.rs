@@ -259,7 +259,7 @@ fn bench_distinct(c: &mut Criterion) {
 }
 
 fn bench_serialize(c: &mut Criterion) {
-    use coin_server::protocol::{table_to_json, write_table};
+    use coin_server::protocol::{table_to_json, write_value};
     use coin_server::JsonBuf;
 
     let n = 10_000usize;
@@ -293,7 +293,23 @@ fn bench_serialize(c: &mut Criterion) {
         b.iter(|| {
             buf.clear();
             buf.begin_obj();
-            write_table(&table, &mut buf);
+            buf.key("columns").begin_arr();
+            for c in &table.schema.columns {
+                buf.begin_obj();
+                buf.key("name").str_val(&c.name);
+                buf.key("type").str_val(c.ty.name());
+                buf.end_obj();
+            }
+            buf.end_arr();
+            buf.key("rows").begin_arr();
+            for row in &table.rows {
+                buf.begin_arr();
+                for v in row {
+                    write_value(v, &mut buf);
+                }
+                buf.end_arr();
+            }
+            buf.end_arr();
             buf.end_obj();
             black_box(buf.as_str().len())
         })

@@ -49,8 +49,8 @@
 
 use std::sync::Arc;
 
-use coin_planner::{ExecStats, QueryPlan};
-use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, SpillStats, Table};
+use coin_planner::{ExecStats, PlanRows, QueryPlan};
+use coin_rel::{CancelToken, Catalog, Row, Schema, Table};
 use coin_sql::{Query, Select};
 
 use crate::mediate::Mediated;
@@ -216,8 +216,8 @@ impl PreparedQuery {
         self.execute_stream(system, None)?.collect()
     }
 
-    /// Execute the captured plan as a row stream — the bounded-memory
-    /// counterpart of [`PreparedQuery::execute`].
+    /// Execute the captured plan as a row stream — the streaming form of
+    /// [`PreparedQuery::execute`].
     ///
     /// The remote fetches run eagerly (so the stream's communication
     /// statistics are final immediately), but every local operation —
@@ -241,17 +241,15 @@ impl PreparedQuery {
                 current: system.epoch(),
             });
         }
-        let spill_before = coin_rel::thread_spill_stats();
         let (rows, mut stats) = system
             .planner
             .execute_planned_stream(&self.plan, cancel.clone())?;
-        let (schema, op) = match &self.outer {
-            None => rows.into_parts(),
-            Some(outer) => {
-                // Feed the mediated pipeline into the outer block as the
-                // live `mediated` binding; the catalog entry is an empty
-                // placeholder that only lends its schema to normalization.
-                let (schema, op) = rows.into_parts();
+        let rows = match &self.outer {
+            None => rows,
+            // Feed the mediated pipeline into the outer block as the live
+            // `mediated` binding; the catalog entry is an empty
+            // placeholder that only lends its schema to normalization.
+            Some(outer) => rows.pipe_into(|schema, op| {
                 let placeholder = Table {
                     name: "mediated".into(),
                     schema,
@@ -266,8 +264,8 @@ impl PreparedQuery {
                     feeds,
                     cancel,
                     Some(&self.outer_programs),
-                )?
-            }
+                )
+            })?,
         };
         stats.plan_epoch = self.epoch;
         // Lock-free counter read: executions must not contend on the
@@ -276,12 +274,10 @@ impl PreparedQuery {
         stats.cache_hits = hits;
         stats.cache_misses = misses;
         Ok(MediatedRows {
-            schema,
-            op,
+            rows,
             mediated: Arc::clone(&self.mediated),
             cache: CacheStatus::Prepared,
             stats,
-            spill_before,
             done: false,
         })
     }
@@ -291,24 +287,21 @@ impl PreparedQuery {
 /// front, rows are pulled one at a time, and the spill statistics are
 /// folded into [`MediatedRows::stats`] when the stream is exhausted.
 ///
-/// Pull the stream on the thread that created it — spill accounting uses
-/// the thread-local counters ([`coin_rel::thread_spill_stats`]), so a
-/// cross-thread drain would misattribute disk activity. Dropping the
-/// stream early aborts the plan and frees staged intermediates.
+/// Pull the stream on the thread that created it (see [`PlanRows`] on
+/// spill accounting). Dropping the stream early aborts the plan and frees
+/// staged intermediates.
 pub struct MediatedRows {
-    schema: Schema,
-    op: BoxOp,
+    rows: PlanRows,
     mediated: Arc<Mediated>,
     cache: CacheStatus,
     stats: ExecStats,
-    spill_before: SpillStats,
     done: bool,
 }
 
 impl MediatedRows {
     /// The result schema (column names and types).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.rows.schema()
     }
 
     /// The mediation report (compile-side provenance).
@@ -346,17 +339,12 @@ impl MediatedRows {
         if self.done {
             return Ok(None);
         }
-        match self.op.next().map_err(coin_rel::EngineError::from)? {
-            Some(row) => Ok(Some(row)),
-            None => {
-                self.done = true;
-                let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
-                self.stats.spill_runs = spilled.runs_written;
-                self.stats.spill_bytes = spilled.bytes_spilled;
-                self.stats.spill_max_run_bytes = spilled.max_run_bytes;
-                Ok(None)
-            }
+        let row = self.rows.next()?;
+        if row.is_none() {
+            self.done = true;
+            self.rows.settle_spill(&mut self.stats);
         }
+        Ok(row)
     }
 
     /// Drain the remaining rows into a materialized [`MediatedAnswer`].
@@ -368,7 +356,7 @@ impl MediatedRows {
         Ok(MediatedAnswer {
             table: Table {
                 name: "result".into(),
-                schema: self.schema,
+                schema: self.rows.into_parts().0,
                 rows,
             },
             mediated: self.mediated,

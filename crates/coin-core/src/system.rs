@@ -474,18 +474,14 @@ impl CoinSystem {
     /// query had aggregation/ordering above the conjunctive core) apply the
     /// outer operations over the mediated result.
     ///
-    /// This is now a thin wrapper over [`CoinSystem::prepare`] +
-    /// [`PreparedQuery::execute`]: repeated calls with the same `(sql,
-    /// receiver)` pay the abductive rewrite and planning only once per
-    /// model epoch.
+    /// This is [`CoinSystem::query_stream`] drained into a table: repeated
+    /// calls with the same `(sql, receiver)` pay the abductive rewrite and
+    /// planning only once per model epoch.
     pub fn query(&self, sql: &str, receiver: &str) -> Result<MediatedAnswer, CoinError> {
-        let (prepared, status) = self.prepare_with_status(sql, receiver)?;
-        let mut answer = prepared.execute(self)?;
-        answer.cache = status;
-        Ok(answer)
+        self.query_stream(sql, receiver, None)?.collect()
     }
 
-    /// The streaming counterpart of [`CoinSystem::query`]: same compile
+    /// The streaming form of [`CoinSystem::query`]: same compile
     /// pipeline and cache behavior, but the answer comes back as a
     /// [`MediatedRows`] pull stream instead of a materialized table. A
     /// supplied [`coin_rel::CancelToken`] aborts the running plan mid-pull
@@ -517,19 +513,11 @@ impl CoinSystem {
         &self,
         prepared: &Arc<PreparedQuery>,
     ) -> Result<(MediatedAnswer, Arc<PreparedQuery>), CoinError> {
-        match prepared.execute(self) {
-            Err(CoinError::StalePlan { .. }) => {
-                let (fresh, status) =
-                    self.prepare_with_status(prepared.sql(), prepared.receiver())?;
-                let mut answer = fresh.execute(self)?;
-                answer.cache = status;
-                Ok((answer, fresh))
-            }
-            other => other.map(|answer| (answer, Arc::clone(prepared))),
-        }
+        let (rows, artifact) = self.execute_reprepared_stream(prepared, None)?;
+        Ok((rows.collect()?, artifact))
     }
 
-    /// Streaming counterpart of [`CoinSystem::execute_reprepared`]: same
+    /// Streaming form of [`CoinSystem::execute_reprepared`]: same
     /// recovery contract, answer delivered as a [`MediatedRows`] pull
     /// stream.
     pub fn execute_reprepared_stream(
@@ -552,10 +540,11 @@ impl CoinSystem {
     /// Execute without mediation (the naive baseline of §3 that returns the
     /// "incorrect" answer).
     pub fn query_naive(&self, sql: &str) -> Result<(Table, coin_planner::ExecStats), CoinError> {
-        Ok(self.planner.run_sql(sql)?)
+        let (rows, stats) = self.query_naive_stream(sql, None)?;
+        Ok(rows.collect(stats)?)
     }
 
-    /// Streaming counterpart of [`CoinSystem::query_naive`].
+    /// Streaming form of [`CoinSystem::query_naive`].
     pub fn query_naive_stream(
         &self,
         sql: &str,

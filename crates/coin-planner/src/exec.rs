@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, Table, Value};
+use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, SpillStats, Table, Value};
 use coin_sql::{BinOp, ColumnRef, Expr, Select};
 
 use crate::dictionary::Dictionary;
@@ -46,14 +46,27 @@ pub struct ExecStats {
 /// communication stats are final), local rows are pulled on demand through
 /// the `coin-rel` operator pipeline. Dropping it aborts the plan — staged
 /// intermediates and spill files are freed.
+///
+/// Pull it on the thread that created it: the spill accounting of
+/// [`PlanRows::settle_spill`] reads this thread's counters
+/// ([`coin_rel::thread_spill_stats`]), so a cross-thread drain would
+/// misattribute disk activity.
 pub struct PlanRows {
     schema: Schema,
     op: BoxOp,
+    /// This thread's spill counters when the execution began.
+    spill_before: SpillStats,
 }
 
 impl PlanRows {
-    pub fn from_parts(schema: Schema, op: BoxOp) -> PlanRows {
-        PlanRows { schema, op }
+    /// Wrap a pipeline whose execution began when this thread's spill
+    /// counters read `spill_before`.
+    pub fn from_parts(schema: Schema, op: BoxOp, spill_before: SpillStats) -> PlanRows {
+        PlanRows {
+            schema,
+            op,
+            spill_before,
+        }
     }
 
     pub fn schema(&self) -> &Schema {
@@ -71,6 +84,45 @@ impl PlanRows {
             .map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))
     }
 
+    /// Record into `stats` the spill activity of this execution so far —
+    /// exact once the stream is drained.
+    pub fn settle_spill(&self, stats: &mut ExecStats) {
+        let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
+        stats.spill_runs = spilled.runs_written;
+        stats.spill_bytes = spilled.bytes_spilled;
+        stats.spill_max_run_bytes = spilled.max_run_bytes;
+    }
+
+    /// Drain the remaining rows into a table, completing `stats` (the
+    /// execution's communication statistics) with its spill activity.
+    /// Every materialized entry point is its streaming form plus this.
+    pub fn collect(mut self, mut stats: ExecStats) -> Result<(Table, ExecStats), PlanError> {
+        let mut rows = Vec::new();
+        while let Some(r) = self.next()? {
+            rows.push(r);
+        }
+        self.settle_spill(&mut stats);
+        Ok((
+            Table {
+                name: "result".into(),
+                schema: self.schema,
+                rows,
+            },
+            stats,
+        ))
+    }
+
+    /// Feed these rows into a downstream pipeline built by `build`; the
+    /// result is the same execution (spill accounting included) with the
+    /// new schema and operator.
+    pub fn pipe_into<E>(
+        self,
+        build: impl FnOnce(Schema, BoxOp) -> Result<(Schema, BoxOp), E>,
+    ) -> Result<PlanRows, E> {
+        let (schema, op) = build(self.schema, self.op)?;
+        Ok(PlanRows { schema, op, ..self })
+    }
+
     /// Decompose into the raw operator (for feeding a downstream pipeline).
     pub fn into_parts(self) -> (Schema, BoxOp) {
         (self.schema, self.op)
@@ -79,39 +131,21 @@ impl PlanRows {
 
 /// Execute a plan, returning the result and execution statistics.
 pub fn execute_plan(plan: &Plan, dict: &Dictionary) -> Result<(Table, ExecStats), PlanError> {
-    // Plan execution is synchronous on this thread, so the thread-local
-    // spill counters bracket exactly this query's disk activity.
-    let spill_before = coin_rel::thread_spill_stats();
-    let (mut rows, mut stats) = execute_plan_stream(plan, dict, None)?;
-    let mut out = Vec::new();
-    while let Some(r) = rows.next()? {
-        out.push(r);
-    }
-    let spilled = coin_rel::thread_spill_stats().since(&spill_before);
-    stats.spill_runs = spilled.runs_written;
-    stats.spill_bytes = spilled.bytes_spilled;
-    stats.spill_max_run_bytes = spilled.max_run_bytes;
-    Ok((
-        Table {
-            name: "result".into(),
-            schema: rows.schema,
-            rows: out,
-        },
-        stats,
-    ))
+    let (rows, stats) = execute_plan_stream(plan, dict, None)?;
+    rows.collect(stats)
 }
 
 /// Execute a plan's fetch steps eagerly and return the local pipeline as a
 /// row stream plus the *communication* statistics (which are final once the
 /// fetches ran). Spill statistics accrue on the pulling thread while the
-/// stream drains; callers wanting per-query spill accounting bracket the
-/// drain with [`coin_rel::thread_spill_stats`] the way [`execute_plan`]
-/// does. A supplied [`CancelToken`] aborts the pipeline mid-pull.
+/// stream drains ([`PlanRows::settle_spill`]). A supplied [`CancelToken`]
+/// aborts the pipeline mid-pull.
 pub fn execute_plan_stream(
     plan: &Plan,
     dict: &Dictionary,
     cancel: Option<CancelToken>,
 ) -> Result<(PlanRows, ExecStats), PlanError> {
+    let spill_before = coin_rel::thread_spill_stats();
     let (staging, stats) = stage_fetches(plan, dict)?;
     let (schema, op) = coin_rel::build_select_pipeline_cached(
         &plan.local,
@@ -120,7 +154,7 @@ pub fn execute_plan_stream(
         cancel,
         Some(&plan.programs),
     )?;
-    Ok((PlanRows { schema, op }, stats))
+    Ok((PlanRows::from_parts(schema, op, spill_before), stats))
 }
 
 /// Run every fetch step against its source and stage the shipped results.

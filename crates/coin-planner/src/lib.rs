@@ -52,27 +52,8 @@ impl Planner {
     /// set semantics unless the plan came from UNION ALL or a single
     /// SELECT).
     pub fn execute_planned(&self, plan: &QueryPlan) -> Result<(Table, ExecStats), PlanError> {
-        // Bracket the drain so per-query spill accounting stays exact (the
-        // stream spills on this thread while it is pulled).
-        let spill_before = coin_rel::thread_spill_stats();
-        let (mut rows, mut stats) = self.execute_planned_stream(plan, None)?;
-        let mut out = Vec::new();
-        while let Some(r) = rows.next()? {
-            out.push(r);
-        }
-        let spilled = coin_rel::thread_spill_stats().since(&spill_before);
-        stats.spill_runs = spilled.runs_written;
-        stats.spill_bytes = spilled.bytes_spilled;
-        stats.spill_max_run_bytes = spilled.max_run_bytes;
-        let (schema, _) = rows.into_parts();
-        Ok((
-            Table {
-                name: "result".into(),
-                schema,
-                rows: out,
-            },
-            stats,
-        ))
+        let (rows, stats) = self.execute_planned_stream(plan, None)?;
+        rows.collect(stats)
     }
 
     /// Execute a compiled [`QueryPlan`] as a row stream: every branch's
@@ -88,6 +69,7 @@ impl Planner {
     ) -> Result<(exec::PlanRows, ExecStats), PlanError> {
         use coin_rel::exec::{Distinct, Rebrand, UnionAll};
 
+        let spill_before = coin_rel::thread_spill_stats();
         let mut stats = ExecStats::default();
         let mut ops: Vec<coin_rel::BoxOp> = Vec::new();
         let mut schema: Option<coin_rel::Schema> = None;
@@ -125,7 +107,7 @@ impl Planner {
             // materialized sort+dedup produced.
             op = Box::new(Distinct::new(op));
         }
-        Ok((exec::PlanRows::from_parts(schema, op), stats))
+        Ok((exec::PlanRows::from_parts(schema, op, spill_before), stats))
     }
 
     /// Plan and execute a full query — the compile-and-run convenience
@@ -136,12 +118,12 @@ impl Planner {
 
     /// Parse, plan and execute SQL text.
     pub fn run_sql(&self, sql: &str) -> Result<(Table, ExecStats), PlanError> {
-        let q = coin_sql::parse_query(sql)?;
-        self.execute_query(&q)
+        let (rows, stats) = self.run_sql_stream(sql, None)?;
+        rows.collect(stats)
     }
 
     /// Parse, plan and execute SQL text as a row stream (the streaming
-    /// counterpart of [`Planner::run_sql`]).
+    /// form of [`Planner::run_sql`]).
     pub fn run_sql_stream(
         &self,
         sql: &str,

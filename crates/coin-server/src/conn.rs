@@ -1,12 +1,9 @@
-//! Per-connection state for the reactor transport: an incremental
-//! HTTP/1.1 request parser over an owned byte buffer, plus the
-//! framing/keep-alive/timeout state machine the event loop drives.
+//! Per-connection state for the reactor transport: the server's one
+//! HTTP/1.1 request parser, incremental over an owned byte buffer, plus
+//! the framing/keep-alive/timeout state machine the event loop drives.
 //!
-//! The blocking transport parses straight off the socket
-//! ([`crate::http`]'s `read_request`); the reactor cannot block, so here
-//! parsing is a pure function of the bytes received so far — called again
-//! whenever more bytes arrive — built on the same request-line/header
-//! helpers so both transports accept exactly the same dialect.
+//! The reactor cannot block, so parsing is a pure function of the bytes
+//! received so far — called again whenever more bytes arrive.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -31,9 +28,9 @@ pub(crate) enum ParseStatus {
 ///
 /// Pure and restartable: returns [`ParseStatus::Incomplete`] until the
 /// head terminator and the full `Content-Length` body have arrived, and
-/// enforces the same head-line/head-size/body-size caps as the blocking
-/// reader — a byte-dripping peer is bounded by the caps here and by the
-/// reactor's read deadline.
+/// enforces the head-line/head-size/body-size caps and the body framing
+/// rules of [`http::content_length`] — a byte-dripping peer is bounded by
+/// the caps here and by the reactor's read deadline.
 pub(crate) fn try_parse_request(
     buf: &[u8],
     max_body_bytes: usize,
@@ -391,5 +388,53 @@ mod tests {
             try_parse_request(b"POST /q HTTP/1.1\r\nContent-Length: pear\r\n\r\n", 1024),
             Err(RequestError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn transfer_coded_bodies_are_refused_not_reframed() {
+        // Framing this body by the absent Content-Length would read its
+        // chunk bytes as the next pipelined request.
+        for head in [
+            "POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "POST /q HTTP/1.1\r\nTransfer-Encoding: gzip, chunked\r\nContent-Length: 5\r\n\r\n",
+        ] {
+            let smuggled = format!("{head}0\r\n\r\nGET /stats HTTP/1.1\r\n\r\n");
+            assert!(
+                matches!(
+                    try_parse_request(smuggled.as_bytes(), 1024),
+                    Err(RequestError::NotImplemented(_))
+                ),
+                "{head:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let smuggled = b"POST /q HTTP/1.1\r\nContent-Length: 23\r\nContent-Length: 0\r\n\r\n\
+                         GET /stats HTTP/1.1\r\n\r\n";
+        assert!(matches!(
+            try_parse_request(smuggled, 1024),
+            Err(RequestError::Malformed(_))
+        ));
+        for bad in ["4, 5", "+4", "4 4", ""] {
+            let req = format!("POST /q HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nbody");
+            assert!(
+                matches!(
+                    try_parse_request(req.as_bytes(), 1024),
+                    Err(RequestError::Malformed(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        // Copies of one value agree on the framing.
+        let agreed = b"POST /q HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nbody";
+        match parse_ok(agreed) {
+            ParseStatus::Complete(req, consumed) => {
+                assert_eq!(req.body, b"body");
+                assert_eq!(consumed, agreed.len());
+            }
+            ParseStatus::Incomplete => panic!("agreeing duplicates must parse"),
+        }
     }
 }

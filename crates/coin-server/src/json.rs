@@ -4,6 +4,13 @@
 //! Requests and responses are JSON documents; this module provides the
 //! value type, a recursive-descent parser and a serializer — self-contained
 //! so the repository carries no serialization dependencies.
+//!
+//! The parser reads network input, so it bounds nesting at
+//! [`MAX_DEPTH`]: deeper documents are a [`JsonError`] like any other
+//! malformed body. Every [`Json`] tree that came off the wire is
+//! therefore at most that deep, which is the invariant the recursive
+//! serializer and the recursive `Drop` of a tree rely on to stay within
+//! a worker's stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -81,9 +88,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The wire protocol's
+/// documents nest three levels at most; the bound only has to keep the
+/// recursive descent far from the end of a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -125,58 +139,77 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut out = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(_) => self.parse_number(),
+        }
+    }
+
+    /// Run a container parser one nesting level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_array(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            out.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Arr(out));
                 }
-                loop {
-                    out.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(out));
-                        }
-                        _ => return Err(self.err("expected , or ]")),
-                    }
-                }
+                _ => return Err(self.err("expected , or ]")),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut out = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Json, JsonError> {
+        self.pos += 1;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(out));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.parse_value()?;
+            out.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(out));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    out.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(out));
-                        }
-                        _ => return Err(self.err("expected , or }")),
-                    }
-                }
+                _ => return Err(self.err("expected , or }")),
             }
-            Some(_) => self.parse_number(),
         }
     }
 
@@ -280,6 +313,7 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -591,6 +625,22 @@ mod tests {
         assert!(parse("01x").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\":", "}").replace(":}", ":1}")).is_ok());
+        for deep in [
+            nest(MAX_DEPTH + 1, "[", "]"),
+            nest(MAX_DEPTH + 1, "{\"k\":", "}"),
+            // Far past any thread's stack if the descent were unbounded.
+            nest(20_000, "[", "]"),
+        ] {
+            let e = parse(&deep).unwrap_err();
+            assert!(e.message.contains("nesting"), "{e}");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   "hit"|"miss"`), the model `"epoch"`, and the cumulative
 //!   `"cache_hits"`/`"cache_misses"` counters. Result rows stream from
 //!   the operator pipeline as a chunked response by default (`"stream":
-//!   false` opts back into a single materialized body — the bytes are
-//!   identical either way); `"max_rows"`/`"max_bytes"` cap the result
-//!   and set `"truncated": true` when rows were dropped;
+//!   false` drains the same writer into one `Content-Length` body — the
+//!   bytes are identical either way); `"max_rows"`/`"max_bytes"` cap the
+//!   result and set `"truncated": true` when rows were dropped;
 //! * `GET /stats` — cumulative prepared-query cache counters and the
 //!   current model epoch;
 //! * `GET /qbe`, `POST /qbe` — the HTML Query-By-Example interface
@@ -83,27 +83,8 @@ pub fn write_value(v: &Value, out: &mut JsonBuf) {
     };
 }
 
-/// Serialize a result table's `"columns"` and `"rows"` fields into an
-/// **open object** on `out` (the caller opens/closes the object and may
-/// append further fields). Replaces the per-row/per-cell [`Json`] tree of
-/// [`table_to_json`] on the `/query` response path: the whole result set
-/// is written into one reusable output buffer.
-pub fn write_table(t: &Table, out: &mut JsonBuf) {
-    write_columns_open_rows(&t.schema, out);
-    for r in &t.rows {
-        out.begin_arr();
-        for v in r {
-            write_value(v, out);
-        }
-        out.end_arr();
-    }
-    out.end_arr();
-}
-
 /// Write the `"columns"` field and *open* the `"rows"` array on `out`
-/// (the caller appends row arrays and closes it). Shared between the
-/// materialized writer above and the incremental [`QueryStream`], so the
-/// two produce byte-identical documents.
+/// (the caller appends row arrays and closes it).
 fn write_columns_open_rows(schema: &Schema, out: &mut JsonBuf) {
     out.key("columns").begin_arr();
     for c in &schema.columns {
@@ -114,46 +95,6 @@ fn write_columns_open_rows(schema: &Schema, out: &mut JsonBuf) {
     }
     out.end_arr();
     out.key("rows").begin_arr();
-}
-
-/// How many rows are sampled (evenly spaced) when estimating a table's
-/// serialized size.
-const SIZE_SAMPLE_ROWS: usize = 16;
-
-/// Rough serialized-size estimate for a result table, used to size the
-/// output buffer in one allocation (tag + punctuation overhead per cell
-/// plus string payloads are the dominant terms).
-///
-/// The string payload is sized from the *widest of up to
-/// [`SIZE_SAMPLE_ROWS`] evenly-spaced sample rows*, not from row 0: wide
-/// string tables whose first row happens to be narrow used to undersize
-/// the buffer badly and pay repeated reallocation-and-copy on the hot
-/// path. Taking the sampled maximum deliberately over-provisions skewed
-/// tables a little — a single allocation slightly too large beats
-/// doubling an initially too-small one.
-fn estimated_table_bytes(t: &Table) -> usize {
-    let cells: usize = t.rows.len() * t.schema.len();
-    let strings: usize = if t.rows.is_empty() {
-        0
-    } else {
-        let samples = t.rows.len().min(SIZE_SAMPLE_ROWS);
-        let step = t.rows.len() / samples;
-        let widest: usize = (0..samples)
-            .map(|i| {
-                t.rows[i * step]
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s.len(),
-                        _ => 0,
-                    })
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        widest * t.rows.len()
-    };
-    let names: usize = t.schema.columns.iter().map(|c| c.name.len()).sum();
-    256 + t.schema.len() * 32 + names + cells * 12 + strings
 }
 
 /// Encode a result table.
@@ -193,7 +134,6 @@ const STREAM_BATCH_ROWS: usize = 256;
 
 /// Row/byte caps for one `/query` response, taken from the request's
 /// optional `"max_rows"` / `"max_bytes"` fields (0 or absent = unlimited).
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct Limits {
     max_rows: u64,
     max_bytes: u64,
@@ -220,10 +160,6 @@ impl Limits {
             max_bytes: field("max_bytes")?,
         })
     }
-
-    fn unlimited(&self) -> bool {
-        *self == Limits::default()
-    }
 }
 
 /// The row pipeline behind one `/query` response.
@@ -248,13 +184,14 @@ impl RowSource {
     }
 }
 
-/// Incremental `/query` response writer: pulls rows from a live operator
-/// pipeline and emits the response document one row batch at a time.
+/// The `/query` result writer: pulls rows from a live operator pipeline
+/// and writes the response document one row batch at a time.
 ///
-/// Produces the exact byte sequence of the materialized path (same
-/// [`JsonBuf`] call sequence), so a chunked response reassembles to the
-/// identical body. Rows never exist in memory all at once: peak memory is
-/// one batch plus whatever the operators themselves hold.
+/// A streamed response takes each batch as a chunk
+/// ([`QueryStream::next_chunk`]); `"stream": false` runs the same machine
+/// into one buffer ([`QueryStream::drain`]), so the two bodies are
+/// byte-identical. Streamed, rows never exist in memory all at once: peak
+/// memory is one batch plus whatever the operators themselves hold.
 struct QueryStream {
     source: RowSource,
     buf: JsonBuf,
@@ -289,6 +226,24 @@ impl QueryStream {
         if self.done {
             return Ok(None);
         }
+        self.write_batch()?;
+        let chunk = self.buf.take();
+        self.emitted += chunk.len() as u64;
+        Ok(Some(chunk.into_bytes()))
+    }
+
+    /// The whole document as one body.
+    fn drain(mut self) -> Result<String, String> {
+        while !self.done {
+            self.write_batch()?;
+        }
+        Ok(self.buf.into_string())
+    }
+
+    /// Append the next batch of rows to `buf` — opening the document on
+    /// the first call, and closing it (setting `done`) once the rows run
+    /// out or a cap is hit.
+    fn write_batch(&mut self) -> Result<(), String> {
         if !self.started {
             self.started = true;
             self.buf.begin_obj();
@@ -298,10 +253,12 @@ impl QueryStream {
             if self.limits.max_rows > 0 && self.rows_out >= self.limits.max_rows {
                 // Only report truncation if a row was actually dropped.
                 self.truncated = self.source.next()?.is_some();
-                return self.finish();
+                self.finish();
+                return Ok(());
             }
             let Some(row) = self.source.next()? else {
-                return self.finish();
+                self.finish();
+                return Ok(());
             };
             self.buf.begin_arr();
             for v in &row {
@@ -315,14 +272,15 @@ impl QueryStream {
                 && self.emitted + self.buf.as_str().len() as u64 >= self.limits.max_bytes
             {
                 self.truncated = self.source.next()?.is_some();
-                return self.finish();
+                self.finish();
+                return Ok(());
             }
         }
-        Ok(Some(self.take_bytes()))
+        Ok(())
     }
 
-    /// Close the rows array, append the tail fields, emit the remainder.
-    fn finish(&mut self) -> Result<Option<Vec<u8>>, String> {
+    /// Close the rows array and append the tail fields.
+    fn finish(&mut self) {
         self.buf.end_arr();
         match &self.source {
             RowSource::Naive { remote_queries, .. } => {
@@ -353,19 +311,12 @@ impl QueryStream {
         }
         self.buf.end_obj();
         self.done = true;
-        Ok(Some(self.take_bytes()))
-    }
-
-    fn take_bytes(&mut self) -> Vec<u8> {
-        let chunk = self.buf.take();
-        self.emitted += chunk.len() as u64;
-        chunk.into_bytes()
     }
 }
 
 /// Package a [`QueryStream`] as either a chunked streaming response or
-/// (when the client opted out with `"stream": false`) a fully drained
-/// conventional body.
+/// (when the client opted out with `"stream": false`) one
+/// `Content-Length` body.
 fn query_stream_response(
     mut qs: QueryStream,
     stream: bool,
@@ -377,12 +328,7 @@ fn query_stream_response(
             StreamBody::new(cancel, move || qs.next_chunk()),
         ))
     } else {
-        let mut out = String::new();
-        while let Some(chunk) = qs.next_chunk()? {
-            // The machine emits UTF-8 (it writes through `JsonBuf`).
-            out.push_str(std::str::from_utf8(&chunk).expect("JsonBuf emits UTF-8"));
-        }
-        Ok(HttpResponse::json_raw(out))
+        Ok(HttpResponse::json_raw(qs.drain()?))
     }
 }
 
@@ -507,16 +453,6 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
     let limits = Limits::from_doc(&doc)?;
     match mode {
         "naive" => {
-            if !stream && limits.unlimited() {
-                // Materialized path: one table, one presized buffer.
-                let (table, stats) = system.query_naive(sql).map_err(|e| e.to_string())?;
-                let mut out = JsonBuf::with_capacity(estimated_table_bytes(&table));
-                out.begin_obj();
-                write_table(&table, &mut out);
-                out.key("remote_queries").num(stats.remote_queries as f64);
-                out.end_obj();
-                return Ok(HttpResponse::json_raw(out.into_string()));
-            }
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
             let (rows, stats) = system
@@ -540,27 +476,6 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
                     ("explanation", Json::Str(mediated.explain())),
                     ("branches", Json::Num(mediated.branches.len() as f64)),
                 ])));
-            }
-            if !stream && limits.unlimited() {
-                let answer = system.query(sql, context).map_err(|e| e.to_string())?;
-                // Result sets dominate the response; serialize them (and
-                // the provenance/statistics fields) directly into one
-                // buffer.
-                let mut out = JsonBuf::with_capacity(estimated_table_bytes(&answer.table));
-                out.begin_obj();
-                write_table(&answer.table, &mut out);
-                out.key("mediated_sql")
-                    .str_val(&answer.mediated.query.to_string());
-                out.key("explanation").str_val(&answer.mediated.explain());
-                out.key("remote_queries")
-                    .num(answer.stats.remote_queries as f64);
-                out.key("cache").str_val(answer.cache.as_str());
-                out.key("epoch").num(answer.stats.plan_epoch as f64);
-                out.key("cache_hits").num(answer.stats.cache_hits as f64);
-                out.key("cache_misses")
-                    .num(answer.stats.cache_misses as f64);
-                out.end_obj();
-                return Ok(HttpResponse::json_raw(out.into_string()));
             }
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
@@ -605,9 +520,9 @@ mod tests {
 
     #[test]
     fn direct_serialization_matches_json_tree() {
-        // The buffer-direct writer must produce a document equal to the
-        // tree-built one for every value kind, including strings needing
-        // escapes and large integers.
+        // The buffer-direct writer behind `"stream": false` must produce a
+        // document equal to the tree-built one for every value kind,
+        // including strings needing escapes and large integers.
         let t = Table::from_rows(
             "x",
             coin_rel::Schema::of(&[
@@ -621,58 +536,26 @@ mod tests {
                 vec![Value::Float(2.0), Value::str("")],
             ],
         );
-        let mut buf = JsonBuf::new();
-        buf.begin_obj();
-        write_table(&t, &mut buf);
-        buf.end_obj();
-        assert_eq!(parse(buf.as_str()).unwrap(), table_to_json(&t));
-    }
-
-    #[test]
-    fn size_estimate_covers_wide_string_tables() {
-        // Regression: string payloads used to be sized from row 0 alone,
-        // so a table whose first row happened to be narrow undersized the
-        // buffer by orders of magnitude and paid reallocation-and-copy
-        // for the whole serialization. The sampled estimate must be
-        // capacity-sufficient (>= the actual serialized size) for string
-        // tables of varying row widths.
-        let schema = coin_rel::Schema::of(&[
-            ("a", coin_rel::ColumnType::Str),
-            ("b", coin_rel::ColumnType::Str),
-        ]);
-        let narrow_first = Table::from_rows(
-            "t",
-            schema.clone(),
-            (0..400)
-                .map(|i| {
-                    let w = if i == 0 { 0 } else { 200 };
-                    vec![
-                        Value::Str("x".repeat(w).into()),
-                        Value::Str("y".repeat(w).into()),
-                    ]
-                })
-                .collect(),
+        let scan = coin_rel::exec::ValuesScan::new(t.schema.clone(), t.rows.clone());
+        let rows = PlanRows::from_parts(
+            t.schema.clone(),
+            Box::new(scan),
+            coin_rel::thread_spill_stats(),
         );
-        let monotone = Table::from_rows(
-            "t",
-            schema,
-            (0..400)
-                .map(|i| vec![Value::Str("x".repeat(i).into()), Value::str("fixed")])
-                .collect(),
-        );
-        for t in [narrow_first, monotone] {
-            let mut buf = JsonBuf::new();
-            buf.begin_obj();
-            write_table(&t, &mut buf);
-            buf.end_obj();
-            let actual = buf.as_str().len();
-            let estimated = estimated_table_bytes(&t);
-            assert!(
-                estimated >= actual,
-                "estimate {estimated} under actual {actual} for {} rows",
-                t.rows.len()
-            );
-        }
+        let source = RowSource::Naive {
+            rows,
+            remote_queries: 3,
+        };
+        let limits = Limits {
+            max_rows: 0,
+            max_bytes: 0,
+        };
+        let body = QueryStream::new(source, limits).drain().unwrap();
+        let Json::Obj(mut expected) = table_to_json(&t) else {
+            unreachable!("table_to_json builds an object");
+        };
+        expected.push(("remote_queries".into(), Json::Num(3.0)));
+        assert_eq!(parse(&body).unwrap(), Json::Obj(expected));
     }
 
     #[test]

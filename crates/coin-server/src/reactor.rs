@@ -1,5 +1,5 @@
-//! The event-driven reactor transport (Unix only), sharded across N
-//! event-loop threads.
+//! The server's transport: event-driven readiness loops, sharded across
+//! N event-loop threads.
 //!
 //! A dedicated **acceptor** thread owns the nonblocking listener. Every
 //! accepted connection is either shed (`503 + Retry-After` when the
@@ -292,12 +292,12 @@ pub(crate) fn serve(
         accept_thread,
         transport_threads,
         metrics,
-        Some(Box::new(move || {
+        Box::new(move || {
             let _ = (&accept_wake_tx).write(&[1]);
             for wake in &shard_wake_tx {
                 let _ = (&*wake).write(&[1]);
             }
-        })),
+        }),
     ))
 }
 
@@ -752,13 +752,8 @@ impl Shard {
                         RequestError::TooLarge(m) => {
                             (HttpResponse::error(413, &m), &self.metrics.malformed)
                         }
-                        RequestError::Timeout | RequestError::Io => {
-                            // Not produced by the pure parser; treat as a
-                            // framing failure if it ever appears.
-                            (
-                                HttpResponse::error(400, "bad request"),
-                                &self.metrics.malformed,
-                            )
+                        RequestError::NotImplemented(m) => {
+                            (HttpResponse::error(501, &m), &self.metrics.malformed)
                         }
                     };
                     counter.fetch_add(1, Ordering::Relaxed);

@@ -462,7 +462,6 @@ fn epoll_interest_set_does_not_rescale_with_the_idle_fleet() {
         let server = start(
             TransportCase {
                 name: "shape",
-                transport: coin_server::Transport::Reactor,
                 backend,
                 shards: 1,
             },
