@@ -216,12 +216,12 @@ fn bench_group_by(c: &mut Criterion) {
 }
 
 fn run_hash_distinct(data: &[Row]) -> usize {
-    let d = Distinct::new(scan(data.to_vec()));
+    let d = Distinct::new(scan(data.to_vec()), TempStore::new());
     drain(Box::new(d)).unwrap().len()
 }
 
 fn run_sort_distinct(data: &[Row]) -> usize {
-    let d = Distinct::new(scan(data.to_vec())).with_spill_threshold(0);
+    let d = Distinct::new(scan(data.to_vec()), TempStore::new()).with_spill_threshold(0);
     drain(Box::new(d)).unwrap().len()
 }
 
@@ -324,13 +324,14 @@ fn bench_sort_spill_ablation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("in_memory", |b| {
         b.iter(|| {
-            let s = Sort::new(scan(data.clone()), vec![(0, false)]);
+            let s = Sort::new(scan(data.clone()), vec![(0, false)], TempStore::new());
             black_box(drain(Box::new(s)).unwrap().len())
         })
     });
     g.bench_function("spilling_4k_runs", |b| {
         b.iter(|| {
-            let s = Sort::new(scan(data.clone()), vec![(0, false)]).with_run_capacity(4096);
+            let s = Sort::new(scan(data.clone()), vec![(0, false)], TempStore::new())
+                .with_run_capacity(4096);
             black_box(drain(Box::new(s)).unwrap().len())
         })
     });

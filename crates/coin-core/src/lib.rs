@@ -70,4 +70,4 @@ pub use system::{CoinError, CoinSystem, MediatedAnswer};
 pub use versions::{ModelPart, ModelVersions, PlanDeps};
 // Streaming consumers (the server) speak the planner's row type without
 // depending on coin-planner themselves.
-pub use coin_planner::PlanRows;
+pub use coin_planner::{ExecStats, PlanRows};

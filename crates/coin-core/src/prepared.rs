@@ -50,7 +50,7 @@
 use std::sync::Arc;
 
 use coin_planner::{ExecStats, PlanRows, QueryPlan};
-use coin_rel::{CancelToken, Catalog, Row, Schema, Table};
+use coin_rel::{CancelToken, Catalog, Row, Schema, Table, TempStore};
 use coin_sql::{Query, Select};
 
 use crate::mediate::Mediated;
@@ -241,15 +241,14 @@ impl PreparedQuery {
                 current: system.epoch(),
             });
         }
-        let (rows, mut stats) = system
+        let mut rows = system
             .planner
             .execute_planned_stream(&self.plan, cancel.clone())?;
-        let rows = match &self.outer {
-            None => rows,
+        if let Some(outer) = &self.outer {
             // Feed the mediated pipeline into the outer block as the live
             // `mediated` binding; the catalog entry is an empty
             // placeholder that only lends its schema to normalization.
-            Some(outer) => rows.pipe_into(|schema, op| {
+            rows = rows.pipe_into(|schema, op, store| {
                 let placeholder = Table {
                     name: "mediated".into(),
                     schema,
@@ -258,27 +257,25 @@ impl PreparedQuery {
                 let catalog = Catalog::new().with_table(placeholder);
                 let mut feeds = coin_rel::Feeds::new();
                 feeds.insert("mediated".into(), op);
-                coin_rel::build_select_pipeline_cached(
+                coin_rel::build_select_pipeline(
                     outer,
                     &catalog,
                     feeds,
                     cancel,
                     Some(&self.outer_programs),
+                    store,
                 )
-            })?,
-        };
+            })?;
+        }
+        let stats = rows.stats_mut();
         stats.plan_epoch = self.epoch;
         // Lock-free counter read: executions must not contend on the
         // cache mutex just to report statistics.
-        let (hits, misses) = system.cache_counters();
-        stats.cache_hits = hits;
-        stats.cache_misses = misses;
+        (stats.cache_hits, stats.cache_misses) = system.cache_counters();
         Ok(MediatedRows {
             rows,
             mediated: Arc::clone(&self.mediated),
             cache: CacheStatus::Prepared,
-            stats,
-            done: false,
         })
     }
 }
@@ -287,15 +284,13 @@ impl PreparedQuery {
 /// front, rows are pulled one at a time, and the spill statistics are
 /// folded into [`MediatedRows::stats`] when the stream is exhausted.
 ///
-/// Pull the stream on the thread that created it (see [`PlanRows`] on
-/// spill accounting). Dropping the stream early aborts the plan and frees
-/// staged intermediates.
+/// The stream may be drained on any thread (its spill accounting is the
+/// execution's own temp store, see [`PlanRows`]). Dropping it early
+/// aborts the plan and frees staged intermediates.
 pub struct MediatedRows {
     rows: PlanRows,
     mediated: Arc<Mediated>,
     cache: CacheStatus,
-    stats: ExecStats,
-    done: bool,
 }
 
 impl MediatedRows {
@@ -322,12 +317,17 @@ impl MediatedRows {
     /// start; the spill fields settle once the stream has been fully
     /// drained ([`MediatedRows::finished`]).
     pub fn stats(&self) -> &ExecStats {
-        &self.stats
+        self.rows.stats()
+    }
+
+    /// The execution's temp store (see [`PlanRows::temp_store`]).
+    pub fn temp_store(&self) -> &TempStore {
+        self.rows.temp_store()
     }
 
     /// Has the stream been drained to the end?
     pub fn finished(&self) -> bool {
-        self.done
+        self.rows.finished()
     }
 
     /// The next result row; `None` (repeatedly) once exhausted.
@@ -336,31 +336,16 @@ impl MediatedRows {
     /// (`Result<Option<Row>, _>`), matching `Operator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Row>, CoinError> {
-        if self.done {
-            return Ok(None);
-        }
-        let row = self.rows.next()?;
-        if row.is_none() {
-            self.done = true;
-            self.rows.settle_spill(&mut self.stats);
-        }
-        Ok(row)
+        Ok(self.rows.next()?)
     }
 
     /// Drain the remaining rows into a materialized [`MediatedAnswer`].
-    pub fn collect(mut self) -> Result<MediatedAnswer, CoinError> {
-        let mut rows = Vec::new();
-        while let Some(row) = self.next()? {
-            rows.push(row);
-        }
+    pub fn collect(self) -> Result<MediatedAnswer, CoinError> {
+        let (table, stats) = self.rows.collect()?;
         Ok(MediatedAnswer {
-            table: Table {
-                name: "result".into(),
-                schema: self.rows.into_parts().0,
-                rows,
-            },
+            table,
             mediated: self.mediated,
-            stats: self.stats,
+            stats,
             cache: self.cache,
         })
     }

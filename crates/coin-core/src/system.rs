@@ -540,8 +540,7 @@ impl CoinSystem {
     /// Execute without mediation (the naive baseline of §3 that returns the
     /// "incorrect" answer).
     pub fn query_naive(&self, sql: &str) -> Result<(Table, coin_planner::ExecStats), CoinError> {
-        let (rows, stats) = self.query_naive_stream(sql, None)?;
-        Ok(rows.collect(stats)?)
+        Ok(self.query_naive_stream(sql, None)?.collect()?)
     }
 
     /// Streaming form of [`CoinSystem::query_naive`].
@@ -549,7 +548,7 @@ impl CoinSystem {
         &self,
         sql: &str,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(coin_planner::PlanRows, coin_planner::ExecStats), CoinError> {
+    ) -> Result<coin_planner::PlanRows, CoinError> {
         Ok(self.planner.run_sql_stream(sql, cancel)?)
     }
 }

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, SpillStats, Table, Value};
+use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, Table, TempStore, Value};
 use coin_sql::{BinOp, ColumnRef, Expr, Select};
 
 use crate::dictionary::Dictionary;
@@ -36,9 +36,8 @@ pub struct ExecStats {
     pub spill_runs: u64,
     /// Bytes written to spill runs while executing this query.
     pub spill_bytes: u64,
-    /// Upper bound on this query's largest spill run, in bytes: 0 when the
-    /// query wrote no runs, never more than [`ExecStats::spill_bytes`]
-    /// (see `SpillStats::since` in `coin-rel` for the exactness contract).
+    /// Size of this query's largest spill run, in bytes (exact; 0 when
+    /// the query wrote no runs).
     pub spill_max_run_bytes: u64,
 }
 
@@ -47,25 +46,28 @@ pub struct ExecStats {
 /// the `coin-rel` operator pipeline. Dropping it aborts the plan — staged
 /// intermediates and spill files are freed.
 ///
-/// Pull it on the thread that created it: the spill accounting of
-/// [`PlanRows::settle_spill`] reads this thread's counters
-/// ([`coin_rel::thread_spill_stats`]), so a cross-thread drain would
-/// misattribute disk activity.
+/// The execution owns its [`TempStore`]: every spilling operator of the
+/// pipeline writes to it, and the spill fields of [`PlanRows::stats`] are
+/// read from its counters once the rows run out. The accounting is exact
+/// and does not depend on which thread pulls the rows.
 pub struct PlanRows {
     schema: Schema,
     op: BoxOp,
-    /// This thread's spill counters when the execution began.
-    spill_before: SpillStats,
+    store: TempStore,
+    stats: ExecStats,
+    done: bool,
 }
 
 impl PlanRows {
-    /// Wrap a pipeline whose execution began when this thread's spill
-    /// counters read `spill_before`.
-    pub fn from_parts(schema: Schema, op: BoxOp, spill_before: SpillStats) -> PlanRows {
+    /// Wrap a pipeline whose spilling operators were built over `store`;
+    /// `stats` holds the execution's communication statistics.
+    pub fn from_parts(schema: Schema, op: BoxOp, store: TempStore, stats: ExecStats) -> PlanRows {
         PlanRows {
             schema,
             op,
-            spill_before,
+            store,
+            stats,
+            done: false,
         }
     }
 
@@ -73,88 +75,110 @@ impl PlanRows {
         &self.schema
     }
 
-    /// The next result row; `None` when exhausted.
+    /// Execution statistics. Communication fields are final from the
+    /// start; the spill fields settle once the stream has been drained
+    /// ([`PlanRows::finished`]).
+    pub fn stats(&self) -> &ExecStats {
+        &self.stats
+    }
+
+    /// Mutable statistics, for layers above that stamp their own fields
+    /// (plan epoch, cache counters).
+    pub fn stats_mut(&mut self) -> &mut ExecStats {
+        &mut self.stats
+    }
+
+    /// The execution's temp store (its counters are the spill so far).
+    pub fn temp_store(&self) -> &TempStore {
+        &self.store
+    }
+
+    /// Has the stream been drained to the end?
+    pub fn finished(&self) -> bool {
+        self.done
+    }
+
+    /// The next result row; `None` (repeatedly) once exhausted.
     ///
     /// Deliberately not `Iterator`: the signature is fallible
     /// (`Result<Option<Row>, _>`), matching `Operator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Row>, PlanError> {
-        self.op
+        if self.done {
+            return Ok(None);
+        }
+        let row = self
+            .op
             .next()
-            .map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))
+            .map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))?;
+        if row.is_none() {
+            self.done = true;
+            let spilled = self.store.spill_stats();
+            self.stats.spill_runs = spilled.runs_written;
+            self.stats.spill_bytes = spilled.bytes_spilled;
+            self.stats.spill_max_run_bytes = spilled.max_run_bytes;
+        }
+        Ok(row)
     }
 
-    /// Record into `stats` the spill activity of this execution so far —
-    /// exact once the stream is drained.
-    pub fn settle_spill(&self, stats: &mut ExecStats) {
-        let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
-        stats.spill_runs = spilled.runs_written;
-        stats.spill_bytes = spilled.bytes_spilled;
-        stats.spill_max_run_bytes = spilled.max_run_bytes;
-    }
-
-    /// Drain the remaining rows into a table, completing `stats` (the
-    /// execution's communication statistics) with its spill activity.
-    /// Every materialized entry point is its streaming form plus this.
-    pub fn collect(mut self, mut stats: ExecStats) -> Result<(Table, ExecStats), PlanError> {
+    /// Drain the remaining rows into a table. Every materialized entry
+    /// point is its streaming form plus this.
+    pub fn collect(mut self) -> Result<(Table, ExecStats), PlanError> {
         let mut rows = Vec::new();
         while let Some(r) = self.next()? {
             rows.push(r);
         }
-        self.settle_spill(&mut stats);
-        Ok((
-            Table {
-                name: "result".into(),
-                schema: self.schema,
-                rows,
-            },
-            stats,
-        ))
+        let table = Table {
+            name: "result".into(),
+            schema: self.schema,
+            rows,
+        };
+        Ok((table, self.stats))
     }
 
-    /// Feed these rows into a downstream pipeline built by `build`; the
-    /// result is the same execution (spill accounting included) with the
-    /// new schema and operator.
+    /// Feed these rows into a downstream pipeline that `build` makes over
+    /// the same temp store; the result is the same execution with the new
+    /// schema and operator.
     pub fn pipe_into<E>(
         self,
-        build: impl FnOnce(Schema, BoxOp) -> Result<(Schema, BoxOp), E>,
+        build: impl FnOnce(Schema, BoxOp, &TempStore) -> Result<(Schema, BoxOp), E>,
     ) -> Result<PlanRows, E> {
-        let (schema, op) = build(self.schema, self.op)?;
+        let (schema, op) = build(self.schema, self.op, &self.store)?;
         Ok(PlanRows { schema, op, ..self })
     }
-
-    /// Decompose into the raw operator (for feeding a downstream pipeline).
-    pub fn into_parts(self) -> (Schema, BoxOp) {
-        (self.schema, self.op)
-    }
-}
-
-/// Execute a plan, returning the result and execution statistics.
-pub fn execute_plan(plan: &Plan, dict: &Dictionary) -> Result<(Table, ExecStats), PlanError> {
-    let (rows, stats) = execute_plan_stream(plan, dict, None)?;
-    rows.collect(stats)
 }
 
 /// Execute a plan's fetch steps eagerly and return the local pipeline as a
-/// row stream plus the *communication* statistics (which are final once the
-/// fetches ran). Spill statistics accrue on the pulling thread while the
-/// stream drains ([`PlanRows::settle_spill`]). A supplied [`CancelToken`]
-/// aborts the pipeline mid-pull.
+/// row stream carrying the execution statistics (the communication ones
+/// are final once the fetches ran). A supplied [`CancelToken`] aborts the
+/// pipeline mid-pull.
 pub fn execute_plan_stream(
     plan: &Plan,
     dict: &Dictionary,
     cancel: Option<CancelToken>,
-) -> Result<(PlanRows, ExecStats), PlanError> {
-    let spill_before = coin_rel::thread_spill_stats();
+) -> Result<PlanRows, PlanError> {
+    let store = TempStore::new();
+    let (schema, op, stats) = build_plan_pipeline(plan, dict, cancel, &store)?;
+    Ok(PlanRows::from_parts(schema, op, store, stats))
+}
+
+/// Run a plan's fetch steps and build its local pipeline over `store`.
+pub(crate) fn build_plan_pipeline(
+    plan: &Plan,
+    dict: &Dictionary,
+    cancel: Option<CancelToken>,
+    store: &TempStore,
+) -> Result<(Schema, BoxOp, ExecStats), PlanError> {
     let (staging, stats) = stage_fetches(plan, dict)?;
-    let (schema, op) = coin_rel::build_select_pipeline_cached(
+    let (schema, op) = coin_rel::build_select_pipeline(
         &plan.local,
         &staging,
         coin_rel::Feeds::new(),
         cancel,
         Some(&plan.programs),
+        store,
     )?;
-    Ok((PlanRows::from_parts(schema, op, spill_before), stats))
+    Ok((schema, op, stats))
 }
 
 /// Run every fetch step against its source and stage the shipped results.

@@ -14,7 +14,8 @@
 //!   dependent access, fetch ordering), all individually switchable for
 //!   ablation;
 //! * [`plan::Plan`] — the explainable execution plan;
-//! * [`exec::execute_plan`] — plan execution with communication accounting.
+//! * [`exec::execute_plan_stream`] — plan execution as a row stream, with
+//!   communication and spill accounting.
 
 pub mod dictionary;
 pub mod exec;
@@ -22,7 +23,7 @@ pub mod optimize;
 pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
-pub use exec::{execute_plan, execute_plan_stream, ExecStats, PlanRows};
+pub use exec::{execute_plan_stream, ExecStats, PlanRows};
 pub use optimize::{Planner, PlannerConfig};
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
@@ -33,7 +34,7 @@ impl Planner {
     /// Compile a full query into a clonable [`QueryPlan`] artifact: each
     /// UNION branch is planned independently. The result captures every
     /// optimizer decision and can be executed many times with
-    /// [`Planner::execute_planned`].
+    /// [`Planner::execute_planned_stream`].
     pub fn plan_query(&self, q: &Query) -> Result<QueryPlan, PlanError> {
         let branches = q
             .branches()
@@ -48,78 +49,36 @@ impl Planner {
         Ok(QueryPlan { branches, all })
     }
 
-    /// Execute a previously compiled [`QueryPlan`] (results combined with
-    /// set semantics unless the plan came from UNION ALL or a single
-    /// SELECT).
-    pub fn execute_planned(&self, plan: &QueryPlan) -> Result<(Table, ExecStats), PlanError> {
-        let (rows, stats) = self.execute_planned_stream(plan, None)?;
-        rows.collect(stats)
-    }
-
-    /// Execute a compiled [`QueryPlan`] as a row stream: every branch's
-    /// fetch steps run eagerly (communication statistics in the returned
-    /// [`ExecStats`] are final), but local joins, residuals, the UNION
-    /// merge and set-semantics deduplication all stream — nothing
-    /// materializes the combined result. Spill statistics accrue on the
-    /// pulling thread (see [`exec::execute_plan_stream`]).
+    /// Execute a compiled [`QueryPlan`] as a row stream (results combined
+    /// with set semantics unless the plan came from UNION ALL or a single
+    /// SELECT; [`PlanRows::collect`] materializes them): every branch's
+    /// fetch steps run eagerly (communication statistics are final), but
+    /// local joins, residuals, the UNION merge and set-semantics
+    /// deduplication all stream — nothing materializes the combined
+    /// result. All branches share the execution's one temp store.
     pub fn execute_planned_stream(
         &self,
         plan: &QueryPlan,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(exec::PlanRows, ExecStats), PlanError> {
-        use coin_rel::exec::{Distinct, Rebrand, UnionAll};
-
-        let spill_before = coin_rel::thread_spill_stats();
+    ) -> Result<PlanRows, PlanError> {
+        let store = coin_rel::TempStore::new();
         let mut stats = ExecStats::default();
-        let mut ops: Vec<coin_rel::BoxOp> = Vec::new();
-        let mut schema: Option<coin_rel::Schema> = None;
+        let mut branches = Vec::with_capacity(plan.branches.len());
         for branch in &plan.branches {
-            let (rows, st) = exec::execute_plan_stream(branch, &self.dictionary, cancel.clone())?;
+            let (schema, op, st) =
+                exec::build_plan_pipeline(branch, &self.dictionary, cancel.clone(), &store)?;
             stats.remote_queries += st.remote_queries;
             stats.rows_shipped += st.rows_shipped;
             stats.comm_cost += st.comm_cost;
-            let (sch, op) = rows.into_parts();
-            match &schema {
-                None => {
-                    schema = Some(sch);
-                    ops.push(op);
-                }
-                Some(first) => {
-                    if sch.len() != first.len() {
-                        return Err(PlanError::Unsupported(
-                            "UNION branches with different arities".into(),
-                        ));
-                    }
-                    // Re-brand with the first branch's column names so the
-                    // union presents one schema.
-                    ops.push(Box::new(Rebrand::new(op, first.clone())));
-                }
-            }
+            branches.push((schema, op));
         }
-        let schema = schema.ok_or_else(|| PlanError::Unsupported("empty union".into()))?;
-        let mut op: coin_rel::BoxOp = match ops.len() {
-            1 => ops.pop().expect("one branch"),
-            _ => Box::new(UnionAll::new(ops)),
-        };
-        if !plan.all {
-            // Set semantics: the Distinct operator emits in total row
-            // order — the same sorted, deduplicated sequence the
-            // materialized sort+dedup produced.
-            op = Box::new(Distinct::new(op));
-        }
-        Ok((exec::PlanRows::from_parts(schema, op, spill_before), stats))
-    }
-
-    /// Plan and execute a full query — the compile-and-run convenience
-    /// wrapper over [`Planner::plan_query`] + [`Planner::execute_planned`].
-    pub fn execute_query(&self, q: &Query) -> Result<(Table, ExecStats), PlanError> {
-        self.execute_planned(&self.plan_query(q)?)
+        let (schema, op) = coin_rel::build_union_pipeline(branches, plan.all, &store)?;
+        Ok(PlanRows::from_parts(schema, op, store, stats))
     }
 
     /// Parse, plan and execute SQL text.
     pub fn run_sql(&self, sql: &str) -> Result<(Table, ExecStats), PlanError> {
-        let (rows, stats) = self.run_sql_stream(sql, None)?;
-        rows.collect(stats)
+        self.run_sql_stream(sql, None)?.collect()
     }
 
     /// Parse, plan and execute SQL text as a row stream (the streaming
@@ -128,7 +87,7 @@ impl Planner {
         &self,
         sql: &str,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(exec::PlanRows, ExecStats), PlanError> {
+    ) -> Result<PlanRows, PlanError> {
         let q = coin_sql::parse_query(sql)?;
         self.execute_planned_stream(&self.plan_query(&q)?, cancel)
     }
@@ -245,7 +204,10 @@ mod tests {
         .unwrap();
         let plan = p.plan_select(q.branches()[0]).unwrap();
         assert!(matches!(plan.steps[0], FetchStep::Independent { .. }));
-        let (t, _) = execute_plan(&plan, &p.dictionary).unwrap();
+        let (t, _) = execute_plan_stream(&plan, &p.dictionary, None)
+            .unwrap()
+            .collect()
+            .unwrap();
         assert_eq!(t.rows, vec![vec![Value::Float(0.0096)]]);
     }
 

@@ -440,12 +440,13 @@ impl Planner {
                 crate::exec::project_schema(&schema, remote),
             ));
         }
-        let _ = coin_rel::build_select_pipeline_cached(
+        let _ = coin_rel::build_select_pipeline(
             local,
             &placeholder,
             coin_rel::Feeds::new(),
             None,
             Some(cache),
+            &coin_rel::TempStore::new(),
         );
     }
 }

@@ -155,7 +155,7 @@ impl Plan {
 /// A full-query plan: one [`Plan`] per UNION branch plus the combination
 /// semantics. This is the immutable compile-side artifact of the
 /// prepare/execute split — it can be cloned, cached and executed many
-/// times via [`crate::Planner::execute_planned`] without re-planning.
+/// times via [`crate::Planner::execute_planned_stream`] without re-planning.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// One plan per UNION branch (a single SELECT has exactly one).

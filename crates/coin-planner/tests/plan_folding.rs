@@ -154,7 +154,10 @@ fn plan_warms_its_expression_program_cache() {
     let warmed = plan.programs.len();
     assert!(warmed > 0, "plan-time warming compiled no programs");
     // Executing the plan must not add entries — everything was pre-lowered.
-    let (t, _) = coin_planner::execute_plan(&plan, &planner.dictionary).unwrap();
+    let (t, _) = coin_planner::execute_plan_stream(&plan, &planner.dictionary, None)
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(t.rows.len(), 4); // amounts 50..80 with oid < 9
     assert_eq!(
         plan.programs.len(),

@@ -20,6 +20,7 @@ use crate::exec::{
 use crate::expr::{compile, CExpr, CompileError};
 use crate::prog::{fold, lower, ExprCache};
 use crate::schema::{Column, ColumnType, Schema, Table};
+use crate::tempstore::TempStore;
 
 /// A named collection of tables (one source's database).
 ///
@@ -132,76 +133,69 @@ impl From<crate::exec::ExecError> for EngineError {
 /// Execute SQL text against a catalog.
 pub fn execute_sql(sql: &str, catalog: &Catalog) -> Result<Table, EngineError> {
     let q = coin_sql::parse_query(sql)?;
-    execute_query(&q, catalog)
+    let (schema, op) = build_query_pipeline(&q, catalog, None, None, &TempStore::new())?;
+    Ok(Table {
+        name: "result".into(),
+        schema,
+        rows: drain(op)?,
+    })
 }
 
-/// Execute a parsed query against a catalog.
-pub fn execute_query(q: &Query, catalog: &Catalog) -> Result<Table, EngineError> {
-    match q {
-        Query::Select(s) => execute_select(s, catalog),
-        Query::Union { .. } => {
-            let (schema, op) = build_query_pipeline(q, catalog, None)?;
-            let rows = drain(op)?;
-            Ok(Table {
-                name: "union".into(),
-                schema,
-                rows,
-            })
-        }
-    }
-}
-
-/// Build a streaming pipeline for a full query (UNION branches re-branded
-/// with the first branch's column names; `UNION` without `ALL` adds a
-/// [`Distinct`], which emits in total row order).
+/// Build a streaming pipeline for a full query: each SELECT block through
+/// [`build_select_pipeline`], the branches of a UNION combined by
+/// [`build_union_pipeline`].
 pub fn build_query_pipeline(
     q: &Query,
     catalog: &Catalog,
     cancel: Option<CancelToken>,
-) -> Result<(Schema, BoxOp), EngineError> {
-    build_query_pipeline_cached(q, catalog, cancel, None)
-}
-
-/// [`build_query_pipeline`] with a per-plan expression-program cache, so
-/// rebuilding the pipeline (one rebuild per execution of a prepared plan)
-/// reuses the compiled programs instead of re-lowering every expression.
-pub fn build_query_pipeline_cached(
-    q: &Query,
-    catalog: &Catalog,
-    cancel: Option<CancelToken>,
     cache: Option<&ExprCache>,
+    store: &TempStore,
 ) -> Result<(Schema, BoxOp), EngineError> {
     match q {
-        Query::Select(s) => build_select_pipeline_cached(s, catalog, Feeds::new(), cancel, cache),
+        Query::Select(s) => build_select_pipeline(s, catalog, Feeds::new(), cancel, cache, store),
         Query::Union { all, .. } => {
-            let mut ops: Vec<BoxOp> = Vec::new();
-            let mut schema: Option<Schema> = None;
-            for b in q.branches() {
-                let (sch, op) =
-                    build_select_pipeline_cached(b, catalog, Feeds::new(), cancel.clone(), cache)?;
-                match &schema {
-                    None => {
-                        schema = Some(sch);
-                        ops.push(op);
-                    }
-                    Some(first) => {
-                        if sch.len() != first.len() {
-                            return Err(EngineError::Unsupported(
-                                "UNION branches with different arities".into(),
-                            ));
-                        }
-                        ops.push(Box::new(Rebrand::new(op, first.clone())));
-                    }
-                }
-            }
-            let schema = schema.ok_or_else(|| EngineError::Unsupported("empty UNION".into()))?;
-            let mut op: BoxOp = Box::new(UnionAll::new(ops));
-            if !*all {
-                op = Box::new(Distinct::new(op));
-            }
-            Ok((schema, op))
+            let branches = q
+                .branches()
+                .into_iter()
+                .map(|b| {
+                    build_select_pipeline(b, catalog, Feeds::new(), cancel.clone(), cache, store)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            build_union_pipeline(branches, *all, store)
         }
     }
+}
+
+/// Combine already-built branch pipelines into one UNION: later branches
+/// are re-branded with the first branch's column names, and set semantics
+/// (`all == false`) add a [`Distinct`] over `store`, which emits in total
+/// row order. A single branch is passed through without a [`UnionAll`].
+pub fn build_union_pipeline(
+    branches: Vec<(Schema, BoxOp)>,
+    all: bool,
+    store: &TempStore,
+) -> Result<(Schema, BoxOp), EngineError> {
+    let mut branches = branches.into_iter();
+    let (schema, first) = branches
+        .next()
+        .ok_or_else(|| EngineError::Unsupported("empty UNION".into()))?;
+    let mut ops = vec![first];
+    for (sch, op) in branches {
+        if sch.len() != schema.len() {
+            return Err(EngineError::Unsupported(
+                "UNION branches with different arities".into(),
+            ));
+        }
+        ops.push(Box::new(Rebrand::new(op, schema.clone())));
+    }
+    let mut op: BoxOp = match ops.len() {
+        1 => ops.pop().expect("one branch"),
+        _ => Box::new(UnionAll::new(ops)),
+    };
+    if !all {
+        op = Box::new(Distinct::new(op, store.clone()));
+    }
+    Ok((schema, op))
 }
 
 /// Classification of one WHERE conjunct relative to the join state.
@@ -242,23 +236,13 @@ fn equi_pairs<'a>(
 
 /// Execute one SELECT block.
 pub fn execute_select(s: &Select, catalog: &Catalog) -> Result<Table, EngineError> {
-    let (schema, op) = build_select_pipeline(s, catalog, Feeds::new(), None)?;
-    let rows = drain(op)?;
+    let (schema, op) =
+        build_select_pipeline(s, catalog, Feeds::new(), None, None, &TempStore::new())?;
     Ok(Table {
         name: "result".into(),
         schema,
-        rows,
+        rows: drain(op)?,
     })
-}
-
-/// Build a streaming pipeline for one SELECT block without draining it —
-/// the bounded-memory seam: callers pull rows one at a time and nothing
-/// materializes the result.
-pub fn execute_select_stream(
-    s: &Select,
-    catalog: &Catalog,
-) -> Result<(Schema, BoxOp), EngineError> {
-    build_select_pipeline(s, catalog, Feeds::new(), None)
 }
 
 /// Live row streams standing in for catalog tables, keyed by table name.
@@ -299,25 +283,19 @@ fn apply_filter(op: BoxOp, pred: CExpr, cache: Option<&ExprCache>) -> BoxOp {
 /// pushdown), joins, residual predicates, aggregation or projection,
 /// ordering, distinct and limit — returned unconsumed, with a
 /// [`CancelGuard`] above every scan when a token is supplied.
+///
+/// Every predicate/projection/aggregate-input expression is lowered
+/// through `cache` when one is given, so a prepared plan compiles its
+/// per-row register programs once and shares them across rebuilds (one per
+/// execution or stream). Every [`Sort`] and [`Distinct`] spills to `store`,
+/// the execution's temp store.
 pub fn build_select_pipeline(
-    s: &Select,
-    catalog: &Catalog,
-    feeds: Feeds,
-    cancel: Option<CancelToken>,
-) -> Result<(Schema, BoxOp), EngineError> {
-    build_select_pipeline_cached(s, catalog, feeds, cancel, None)
-}
-
-/// [`build_select_pipeline`] with a per-plan expression-program cache: all
-/// predicate/projection/aggregate-input expressions are lowered through
-/// `cache`, so the per-row register programs are compiled once per plan and
-/// shared across pipeline rebuilds (one per execution or stream).
-pub fn build_select_pipeline_cached(
     s: &Select,
     catalog: &Catalog,
     mut feeds: Feeds,
     cancel: Option<CancelToken>,
     cache: Option<&ExprCache>,
+    store: &TempStore,
 ) -> Result<(Schema, BoxOp), EngineError> {
     let s = coin_sql::normalize_select(s, catalog)?;
 
@@ -486,7 +464,7 @@ pub fn build_select_pipeline_cached(
             op = apply_filter(op, h, cache);
         }
         if !order_keys.is_empty() {
-            op = Box::new(Sort::new(op, order_keys));
+            op = Box::new(Sort::new(op, order_keys, store.clone()));
         }
         // Final projection: keep only the select items (group/agg columns
         // may include extra order/having columns).
@@ -515,7 +493,7 @@ pub fn build_select_pipeline_cached(
             deferred = s.order_by.iter().collect();
         }
         if !pre_keys.is_empty() {
-            op = Box::new(Sort::new(op, pre_keys));
+            op = Box::new(Sort::new(op, pre_keys, store.clone()));
         }
         let mut exprs = Vec::new();
         let mut cols = Vec::new();
@@ -551,12 +529,12 @@ pub fn build_select_pipeline_cached(
                     }
                 }
             }
-            op = Box::new(Sort::new(op, post_keys));
+            op = Box::new(Sort::new(op, post_keys, store.clone()));
         }
     }
 
     if s.distinct {
-        op = Box::new(Distinct::new(op));
+        op = Box::new(Distinct::new(op, store.clone()));
     }
     if let Some(n) = s.limit {
         op = Box::new(Limit::new(op, n));

@@ -752,7 +752,9 @@ pub struct Distinct {
 }
 
 impl Distinct {
-    pub fn new(input: BoxOp) -> Distinct {
+    /// Deduplicate `input`, spilling (if at all) to `store` — the
+    /// execution's temp store, which accounts for the disk activity.
+    pub fn new(input: BoxOp, store: TempStore) -> Distinct {
         let schema = input.schema().clone();
         Distinct {
             input: Some(input),
@@ -760,7 +762,7 @@ impl Distinct {
             sorted: None,
             merge: None,
             last: None,
-            store: TempStore::new(),
+            store,
             run_capacity: 64 * 1024,
             spill_threshold: DISTINCT_SPILL_THRESHOLD,
             spilled: false,
@@ -888,14 +890,16 @@ pub struct Sort {
 }
 
 impl Sort {
-    pub fn new(input: BoxOp, key: SortKey) -> Sort {
+    /// Sort `input` by `key`, spilling runs to `store` — the execution's
+    /// temp store, which accounts for the disk activity.
+    pub fn new(input: BoxOp, key: SortKey, store: TempStore) -> Sort {
         let schema = input.schema().clone();
         Sort {
             input: Some(input),
             schema,
             key,
             merge: None,
-            store: TempStore::new(),
+            store,
             run_capacity: 64 * 1024,
         }
     }
@@ -1425,14 +1429,14 @@ mod tests {
 
     #[test]
     fn distinct_dedups() {
-        let d = Distinct::new(scan(ints(&[3, 1, 3, 2, 1])));
+        let d = Distinct::new(scan(ints(&[3, 1, 3, 2, 1])), TempStore::new());
         let out = drain(Box::new(d)).unwrap();
         assert_eq!(out.len(), 3);
     }
 
     #[test]
     fn sort_orders() {
-        let s = Sort::new(scan(ints(&[3, 1, 2])), vec![(0, true)]);
+        let s = Sort::new(scan(ints(&[3, 1, 2])), vec![(0, true)], TempStore::new());
         let out = drain(Box::new(s)).unwrap();
         assert_eq!(out[0][0], Value::Int(3));
         assert_eq!(out[2][0], Value::Int(1));

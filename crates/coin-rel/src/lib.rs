@@ -15,12 +15,18 @@
 //! * [`exec`] — Volcano-style operators (scan, filter, project, nested-loop
 //!   and hash joins, union, distinct, sort, aggregate, limit);
 //! * [`tempstore`] — the "local secondary storage" of the prototype: spill
-//!   files and an external merge sorter with bounded memory, with per-store
-//!   and per-thread spill accounting;
+//!   files and an external merge sorter with bounded memory. One
+//!   [`TempStore`] per execution is handed to every spilling operator, so
+//!   its counters are that execution's exact spill accounting, whichever
+//!   thread pulls the rows;
 //! * [`mod@reference`] — the pre-optimization operator implementations,
 //!   kept as equivalence-test and benchmark baselines;
 //! * [`engine`] — a per-source SQL processor: parse → normalize → operator
 //!   tree → result table, with filter pushdown and equi-join detection.
+//!   One builder per level — [`build_select_pipeline`] for a SELECT block,
+//!   [`build_union_pipeline`] for combining branches, and
+//!   [`build_query_pipeline`] over both — serves every layer above;
+//!   [`execute_sql`] and [`execute_select`] are those pipelines drained.
 //!
 //! ## Example
 //!
@@ -50,13 +56,12 @@ pub mod tempstore;
 pub mod value;
 
 pub use engine::{
-    build_query_pipeline, build_query_pipeline_cached, build_select_pipeline,
-    build_select_pipeline_cached, execute_query, execute_select, execute_select_stream,
-    execute_sql, Catalog, EngineError, Feeds,
+    build_query_pipeline, build_select_pipeline, build_union_pipeline, execute_select, execute_sql,
+    Catalog, EngineError, Feeds,
 };
 pub use exec::{drain, BoxOp, CancelToken, ExecError, Operator};
 pub use expr::{compile, CExpr, CompileError};
 pub use prog::{fold, lower, ExprCache, ExprProg, LikeProg};
 pub use schema::{Column, ColumnType, Row, Schema, Table, TableError};
-pub use tempstore::{thread_spill_stats, ExternalSorter, MergeStream, SpillStats, TempStore};
+pub use tempstore::{ExternalSorter, MergeStream, SpillStats, TempStore};
 pub use value::{sql_like, ArithOp, Value, ValueError};

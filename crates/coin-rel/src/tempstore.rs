@@ -7,7 +7,6 @@
 //! compact binary encoding, and an [`ExternalSorter`] that sorts arbitrarily
 //! large row streams with bounded memory (sorted runs + k-way merge).
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -34,57 +33,6 @@ pub struct SpillStats {
     pub max_run_bytes: u64,
 }
 
-impl SpillStats {
-    fn record_run(&mut self, bytes: u64, rows: u64) {
-        self.runs_written += 1;
-        self.bytes_spilled += bytes;
-        self.rows_spilled += rows;
-        self.max_run_bytes = self.max_run_bytes.max(bytes);
-    }
-
-    /// The difference of two cumulative snapshots (`self` the later one).
-    ///
-    /// A maximum has no exact difference, so `max_run_bytes` is a tight
-    /// *upper bound* for the window: 0 when the window wrote no runs,
-    /// otherwise the cumulative maximum clamped to the window's total
-    /// bytes (every run in the window is ≤ both). Exact when the window
-    /// contains the thread's largest run so far or a single run.
-    pub fn since(&self, earlier: &SpillStats) -> SpillStats {
-        let runs_written = self.runs_written - earlier.runs_written;
-        let bytes_spilled = self.bytes_spilled - earlier.bytes_spilled;
-        SpillStats {
-            runs_written,
-            bytes_spilled,
-            rows_spilled: self.rows_spilled - earlier.rows_spilled,
-            max_run_bytes: if runs_written == 0 {
-                0
-            } else {
-                self.max_run_bytes.min(bytes_spilled)
-            },
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread cumulative spill counters. Query execution is synchronous
-    /// on one thread, so a caller snapshotting this around an execution
-    /// gets exact per-query accounting with no cross-thread interference.
-    static THREAD_SPILL: Cell<SpillStats> = const { Cell::new(SpillStats {
-        runs_written: 0,
-        bytes_spilled: 0,
-        rows_spilled: 0,
-        max_run_bytes: 0,
-    }) };
-}
-
-/// Cumulative spill statistics for the calling thread (every
-/// [`TempStore::spill`] on this thread is counted, whichever store instance
-/// performed it). Snapshot before and after an execution and subtract
-/// ([`SpillStats::since`]) for per-query accounting.
-pub fn thread_spill_stats() -> SpillStats {
-    THREAD_SPILL.with(Cell::get)
-}
-
 /// Shared per-instance counters (a `TempStore` clone observes the same
 /// totals as its original).
 #[derive(Debug, Default)]
@@ -97,7 +45,9 @@ struct StoreCounters {
 
 /// A handle to a directory for temporary run files; files are deleted when
 /// their readers/writers drop. Clones share the directory *and* the spill
-/// counters.
+/// counters, so one store handed to every spilling operator of a pipeline
+/// accounts for exactly that pipeline's disk activity, on whichever thread
+/// it runs.
 #[derive(Debug, Clone)]
 pub struct TempStore {
     dir: PathBuf,
@@ -111,23 +61,13 @@ impl Default for TempStore {
 }
 
 impl TempStore {
-    /// A temp store in the OS temp directory.
+    /// A temp store in the OS temp directory. Creating one touches no
+    /// file: the directory is made by the first [`TempStore::spill`].
     pub fn new() -> TempStore {
-        let dir = std::env::temp_dir().join("coin-tempstore");
-        let _ = std::fs::create_dir_all(&dir);
         TempStore {
-            dir,
+            dir: std::env::temp_dir().join("coin-tempstore"),
             counters: Arc::new(StoreCounters::default()),
         }
-    }
-
-    pub fn in_dir(dir: impl Into<PathBuf>) -> io::Result<TempStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TempStore {
-            dir,
-            counters: Arc::new(StoreCounters::default()),
-        })
     }
 
     fn fresh_path(&self) -> PathBuf {
@@ -137,9 +77,9 @@ impl TempStore {
     }
 
     /// Spill rows to a new run file; returns a reader-factory handle.
-    /// The run's size is recorded on this store's counters and the calling
-    /// thread's cumulative [`thread_spill_stats`].
+    /// The run's size is recorded on this store's counters.
     pub fn spill(&self, rows: &[Row]) -> io::Result<SpillFile> {
+        std::fs::create_dir_all(&self.dir)?;
         let path = self.fresh_path();
         let mut w = CountingWriter {
             inner: BufWriter::new(File::create(&path)?),
@@ -162,11 +102,6 @@ impl TempStore {
         self.counters
             .max_run_bytes
             .fetch_max(bytes, AtomicOrdering::Relaxed);
-        THREAD_SPILL.with(|c| {
-            let mut s = c.get();
-            s.record_run(bytes, rows.len() as u64);
-            c.set(s);
-        });
         Ok(SpillFile { path })
     }
 
@@ -401,13 +336,6 @@ impl ExternalSorter {
 
     pub fn spilled_rows(&self) -> usize {
         self.spilled_rows
-    }
-
-    /// Disk-spill accounting for this sorter's store: runs written, bytes
-    /// spilled, largest run. (The store's counters — shared with clones —
-    /// so a sorter given a dedicated store reports exactly its own spills.)
-    pub fn spill_stats(&self) -> SpillStats {
-        self.store.spill_stats()
     }
 
     /// Finish and return the fully sorted rows.
@@ -680,51 +608,57 @@ mod tests {
     #[test]
     fn in_memory_sort_records_no_spill() {
         let store = TempStore::new();
-        let mut s = ExternalSorter::new(store, vec![(0, false)], 100);
+        let mut s = ExternalSorter::new(store.clone(), vec![(0, false)], 100);
         for i in 0..10 {
             s.push(row(i, "x")).unwrap();
         }
-        assert_eq!(s.spill_stats(), SpillStats::default());
+        assert_eq!(store.spill_stats(), SpillStats::default());
         s.finish().unwrap();
     }
 
     #[test]
     fn external_sort_records_spill_stats() {
         let store = TempStore::new();
-        let mut s = ExternalSorter::new(store, vec![(0, false)], 8);
+        let mut s = ExternalSorter::new(store.clone(), vec![(0, false)], 8);
         for i in 0..100 {
             s.push(row((i * 37) % 100, "payload")).unwrap();
         }
-        let before_finish = s.spill_stats();
+        let before_finish = store.spill_stats();
         assert!(before_finish.runs_written >= 100 / 8);
         let sorted = s.finish().unwrap();
         assert_eq!(sorted.len(), 100);
     }
 
     #[test]
-    fn thread_spill_stats_accumulate_and_delta() {
-        let before = thread_spill_stats();
+    fn store_spill_stats_are_exact_on_any_thread() {
         let store = TempStore::new();
         let _r = store.spill(&[row(1, "a"), row(2, "b")]).unwrap();
-        let delta = thread_spill_stats().since(&before);
-        assert_eq!(delta.runs_written, 1);
-        assert_eq!(delta.rows_spilled, 2);
-        assert!(delta.bytes_spilled > 0);
-        // Other threads' spills are invisible here.
+        let s = store.spill_stats();
+        assert_eq!(s.runs_written, 1);
+        assert_eq!(s.rows_spilled, 2);
+        assert!(s.bytes_spilled > 0);
+        // Another store's spills are invisible here, whichever thread
+        // wrote them …
         let handle = std::thread::spawn(|| {
-            let s = TempStore::new();
-            let _r = s.spill(&[vec![Value::Int(1)]]).unwrap();
-            thread_spill_stats().runs_written
+            let other = TempStore::new();
+            let _r = other.spill(&[vec![Value::Int(1)]]).unwrap();
+            other.spill_stats().runs_written
         });
         assert!(handle.join().unwrap() >= 1);
-        assert_eq!(thread_spill_stats().since(&before).runs_written, 1);
-        // A later window with no spills reports no max either — a big run
-        // from an earlier query must not leak into it.
-        let quiet = thread_spill_stats();
-        let delta = thread_spill_stats().since(&quiet);
-        assert_eq!(delta, SpillStats::default());
-        // And a window's max never exceeds its own byte total.
-        let w = thread_spill_stats().since(&before);
+        assert_eq!(store.spill_stats().runs_written, 1);
+        // … while a clone of this store counts here from any thread.
+        let clone = store.clone();
+        let one_row_run = std::thread::spawn(move || {
+            let _r = clone.spill(&[vec![Value::Int(1)]]).unwrap();
+            clone.spill_stats().max_run_bytes
+        });
+        assert!(one_row_run.join().unwrap() > 0);
+        assert_eq!(store.spill_stats().runs_written, 2);
+        // A store that wrote no runs reports no max either — a big run
+        // from another execution must not leak into it.
+        assert_eq!(TempStore::new().spill_stats(), SpillStats::default());
+        // And a store's max never exceeds its own byte total.
+        let w = store.spill_stats();
         assert!(w.max_run_bytes <= w.bytes_spilled);
     }
 

@@ -10,7 +10,7 @@ use coin_rel::exec::{
 };
 use coin_rel::expr::CExpr;
 use coin_rel::reference::{BTreeAggregate, StringKeyHashJoin};
-use coin_rel::tempstore::cmp_rows;
+use coin_rel::tempstore::{cmp_rows, TempStore};
 use coin_rel::{ColumnType, Row, Schema, Value};
 use coin_sql::BinOp;
 use proptest::prelude::*;
@@ -170,15 +170,15 @@ proptest! {
     /// output order; and a mid-stream spill threshold changes nothing.
     #[test]
     fn hash_distinct_equals_sort_distinct(rows in arb_rows(2, 30), threshold in 0usize..8) {
-        let hash = Distinct::new(scan(rows.clone()));
+        let hash = Distinct::new(scan(rows.clone()), TempStore::new());
         let new = drain(Box::new(hash)).unwrap();
-        let sort = Distinct::new(scan(rows.clone())).with_spill_threshold(0);
+        let sort = Distinct::new(scan(rows.clone()), TempStore::new()).with_spill_threshold(0);
         let old = drain(Box::new(sort)).unwrap();
         prop_assert_eq!(&new, &old);
 
         // Any threshold — including ones that flip to the sort path midway
         // through the input — must produce the identical result.
-        let mid = Distinct::new(scan(rows)).with_spill_threshold(threshold);
+        let mid = Distinct::new(scan(rows), TempStore::new()).with_spill_threshold(threshold);
         let via_threshold = drain(Box::new(mid)).unwrap();
         prop_assert_eq!(&new, &via_threshold);
     }
@@ -196,7 +196,7 @@ fn rows_with_distinct(n: usize, distinct: usize) -> Vec<Row> {
 }
 
 fn run_distinct(rows: Vec<Row>, threshold: usize) -> (Vec<Row>, bool) {
-    let mut d = Distinct::new(scan(rows)).with_spill_threshold(threshold);
+    let mut d = Distinct::new(scan(rows), TempStore::new()).with_spill_threshold(threshold);
     let mut out = Vec::new();
     while let Some(r) = d.next().unwrap() {
         out.push(r);
@@ -271,15 +271,15 @@ fn spill_fallback_does_not_respill_the_dedup_set() {
     let rows = rows_with_distinct(n, distinct);
     let tail = (n - threshold) as u64;
 
-    let before = coin_rel::thread_spill_stats();
-    let mut d = Distinct::new(scan(rows))
+    let store = TempStore::new();
+    let mut d = Distinct::new(scan(rows), store.clone())
         .with_spill_threshold(threshold)
         .with_run_capacity(run_capacity);
     let mut out = Vec::new();
     while let Some(r) = d.next().unwrap() {
         out.push(r);
     }
-    let delta = coin_rel::thread_spill_stats().since(&before);
+    let delta = store.spill_stats();
 
     assert!(d.spilled(), "fallback path must run");
     assert_eq!(out.len(), distinct);

@@ -65,8 +65,8 @@ proptest! {
     /// runs is not stable, so equal-key rows may permute — that's fine.)
     #[test]
     fn sort_operator_spill_ablation(rows in arb_rows(2, 50)) {
-        let spilled = Sort::new(scan(rows.clone()), vec![(1, false)]).with_run_capacity(3);
-        let memory = Sort::new(scan(rows), vec![(1, false)]);
+        let spilled = Sort::new(scan(rows.clone()), vec![(1, false)], TempStore::new()).with_run_capacity(3);
+        let memory = Sort::new(scan(rows), vec![(1, false)], TempStore::new());
         let a = drain(Box::new(spilled)).unwrap();
         let b = drain(Box::new(memory)).unwrap();
         // Both outputs are sorted by the key…

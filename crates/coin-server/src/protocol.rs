@@ -164,21 +164,21 @@ impl Limits {
 
 /// The row pipeline behind one `/query` response.
 enum RowSource {
-    Naive { rows: PlanRows, remote_queries: u64 },
+    Naive(PlanRows),
     Mediated(Box<MediatedRows>),
 }
 
 impl RowSource {
     fn schema(&self) -> &Schema {
         match self {
-            RowSource::Naive { rows, .. } => rows.schema(),
+            RowSource::Naive(rows) => rows.schema(),
             RowSource::Mediated(rows) => rows.schema(),
         }
     }
 
     fn next(&mut self) -> Result<Option<coin_rel::Row>, String> {
         match self {
-            RowSource::Naive { rows, .. } => rows.next().map_err(|e| e.to_string()),
+            RowSource::Naive(rows) => rows.next().map_err(|e| e.to_string()),
             RowSource::Mediated(rows) => rows.next().map_err(|e| e.to_string()),
         }
     }
@@ -283,8 +283,10 @@ impl QueryStream {
     fn finish(&mut self) {
         self.buf.end_arr();
         match &self.source {
-            RowSource::Naive { remote_queries, .. } => {
-                self.buf.key("remote_queries").num(*remote_queries as f64);
+            RowSource::Naive(rows) => {
+                self.buf
+                    .key("remote_queries")
+                    .num(rows.stats().remote_queries as f64);
             }
             RowSource::Mediated(rows) => {
                 self.buf
@@ -455,13 +457,10 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
         "naive" => {
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
-            let (rows, stats) = system
+            let rows = system
                 .query_naive_stream(sql, Some(cancel))
                 .map_err(|e| e.to_string())?;
-            let source = RowSource::Naive {
-                rows,
-                remote_queries: stats.remote_queries as u64,
-            };
+            let source = RowSource::Naive(rows);
             query_stream_response(QueryStream::new(source, limits), stream, flag)
         }
         "mediated" | "explain" => {
@@ -537,15 +536,17 @@ mod tests {
             ],
         );
         let scan = coin_rel::exec::ValuesScan::new(t.schema.clone(), t.rows.clone());
+        let stats = coin_core::ExecStats {
+            remote_queries: 3,
+            ..Default::default()
+        };
         let rows = PlanRows::from_parts(
             t.schema.clone(),
             Box::new(scan),
-            coin_rel::thread_spill_stats(),
+            coin_rel::TempStore::new(),
+            stats,
         );
-        let source = RowSource::Naive {
-            rows,
-            remote_queries: 3,
-        };
+        let source = RowSource::Naive(rows);
         let limits = Limits {
             max_rows: 0,
             max_bytes: 0,

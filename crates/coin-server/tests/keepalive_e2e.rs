@@ -520,6 +520,85 @@ fn deeply_nested_json_body_is_an_error_not_a_crash() {
     }
 }
 
+/// `SELECT … FROM r1` whose WHERE nests `n` levels of one recursive SQL
+/// form.
+fn deep_where(form: &str, n: usize) -> String {
+    let pred = match form {
+        "parens" => format!("{}1{} = 1", "(".repeat(n), ")".repeat(n)),
+        "NOT" => format!("{}r1.revenue > 0", "NOT ".repeat(n)),
+        // `n` ones in a left-deep sum.
+        "chain" => format!("{}1 > 0", "1+".repeat(n - 1)),
+        // A balanced tree of 2^n conjuncts.
+        "AND tree" => (0..n).fold("r1.revenue > 0".into(), |e, _| format!("({e}) AND ({e})")),
+        other => unreachable!("{other}"),
+    };
+    format!("SELECT r1.cname FROM r1 WHERE {pred}")
+}
+
+#[test]
+fn deeply_nested_sql_is_an_error_not_a_crash() {
+    // 1000 parentheses (a 2 KB body), 50 000 NOTs and a 100 KB left-deep
+    // `1+1+…+1`: each overflowed a worker's stack, in the SQL parser or
+    // when the parsed query was printed. A balanced tree of 1024
+    // conjuncts is only 12 levels deep, but the planner rebuilds it as a
+    // 1024-deep chain.
+    let too_deep = [
+        deep_where("parens", 1000),
+        deep_where("NOT", 50_000),
+        deep_where("chain", 50_000),
+        deep_where("AND tree", 10),
+    ];
+    // The same forms exactly at the bound (the NOT operand and the
+    // comparison each add one level; an AND counts its conjuncts' sum)
+    // are answered.
+    let max = coin_sql::MAX_DEPTH;
+    let at_bound = [
+        deep_where("parens", max - 1),
+        deep_where("NOT", max - 2),
+        deep_where("chain", max - 1),
+        deep_where("AND tree", max.ilog2() as usize - 1),
+    ];
+    for case in reactor_matrix() {
+        let server = start(case, ServerConfig::default());
+        let mut client = HttpClient::new(server.addr);
+        for mode in ["naive", "mediated"] {
+            let mut post = |sql: &str| {
+                let body =
+                    format!("{{\"sql\":\"{sql}\",\"context\":\"c_recv\",\"mode\":\"{mode}\"}}");
+                let resp = client
+                    .send("POST", "/query", Some("application/json"), body.as_bytes())
+                    .unwrap();
+                parse_json(&String::from_utf8_lossy(&resp.body)).unwrap()
+            };
+            for sql in &too_deep {
+                let doc = post(sql);
+                let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(
+                    error.contains("deeper than"),
+                    "[{}] {mode}: {doc}",
+                    case.name
+                );
+            }
+            for sql in &at_bound {
+                // Both companies have positive revenue; mediation answers
+                // or (for NOT, which it cannot push) refuses, never crashes.
+                let doc = post(sql);
+                let rows = doc.get("rows").and_then(Json::as_array);
+                let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(
+                    rows.map(<[Json]>::len) == Some(2)
+                        || (mode == "mediated" && error.starts_with("mediation does not support")),
+                    "[{}] {mode}: {doc}",
+                    case.name
+                );
+            }
+        }
+        let conn = Connection::open(server.addr, "c_recv");
+        assert_eq!(conn.statement().execute(Q1).unwrap().len(), 1);
+        server.stop();
+    }
+}
+
 #[test]
 fn keep_alive_can_be_disabled_server_side() {
     for case in reactor_matrix() {

@@ -9,7 +9,8 @@
 //!
 //! * a lexer and recursive-descent parser for the dialect used throughout
 //!   the paper (SELECT/FROM/WHERE, UNION, arithmetic, comparisons, and the
-//!   usual predicates), see [`parser::parse_query`];
+//!   usual predicates), see [`parser::parse_query`], with every syntax
+//!   tree it builds bounded by [`MAX_DEPTH`];
 //! * the [`ast`] with canonical-SQL `Display` implementations, so mediated
 //!   queries print exactly in the §3 style;
 //! * [`normalize`] — alias resolution and wildcard expansion against a
@@ -25,4 +26,4 @@ pub use ast::{
 };
 pub use lexer::{lex, LexError, Tok};
 pub use normalize::{normalize_query, normalize_select, MapSchema, NormalizeError, SchemaLookup};
-pub use parser::{parse_expr, parse_query, SqlError};
+pub use parser::{parse_expr, parse_query, SqlError, MAX_DEPTH};

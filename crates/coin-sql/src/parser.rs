@@ -38,10 +38,32 @@ impl From<LexError> for SqlError {
     }
 }
 
+/// The deepest syntax tree the parser builds: no expression is taller than
+/// this many nodes (a leaf counts 1, and an AND the sum of its operands'
+/// heights, so that re-associated conjunct chains stay within the bound
+/// too), no expression nests more than this
+/// many levels of parentheses, `NOT`, unary minus, `CASE`, function
+/// arguments or `IN` lists, and no UNION chain has more than this many
+/// branches. Deeper input is a [`SqlError`] like any other.
+///
+/// Every later pass over a parsed query recurses over this tree and relies
+/// on the bound to stay within a thread's stack: normalization, constant
+/// folding, lowering to `ExprProg` register programs, printing
+/// (`Display`), the mediator's encoding into logic terms, and the
+/// compiler-generated `Drop` of the tree itself. In an unoptimized build
+/// the costliest request at the bound (nested `CASE`) needs about
+/// 0.75 MiB of stack from parse to printed answer, under two fifths of a
+/// 2 MiB server worker thread's.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a SQL query (single SELECT or UNION chain, optional trailing `;`).
 pub fn parse_query(src: &str) -> Result<Query, SqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     p.eat_semi();
     if let Some(t) = p.peek() {
@@ -53,8 +75,12 @@ pub fn parse_query(src: &str) -> Result<Query, SqlError> {
 /// Parse a scalar expression (used by tests and the QBE form builder).
 pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.parse_expr()?;
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
+    let (e, _) = p.parse_expr()?;
     if let Some(t) = p.peek() {
         return Err(p.err(format!("unexpected trailing token {:?}", t)));
     }
@@ -64,7 +90,12 @@ pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Nesting of the expression being parsed (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
+
+/// A parsed expression and its height (a leaf is 1).
+type Node = (Expr, usize);
 
 impl Parser {
     fn err(&self, message: impl Into<String>) -> SqlError {
@@ -133,6 +164,39 @@ impl Parser {
         }
     }
 
+    /// Go one nesting level deeper, refusing to pass [`MAX_DEPTH`] (this
+    /// bounds the parser's own recursion); the caller steps back out.
+    fn enter(&mut self) -> Result<(), SqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("expression nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// `e` as a node of height `h`, refusing a tree taller than
+    /// [`MAX_DEPTH`] (this bounds the built expression).
+    fn node(&self, e: Expr, h: usize) -> Result<Node, SqlError> {
+        if h > MAX_DEPTH {
+            return Err(self.err(format!("expression deeper than {MAX_DEPTH} levels")));
+        }
+        Ok((e, h))
+    }
+
+    /// `l op r` as a node. An AND counts the sum of its operands'
+    /// heights, not one more than the taller: later passes flatten AND
+    /// trees into conjunct lists and rebuild them as left-deep chains, and
+    /// the sum bounds every such chain (a balanced tree of 1024 conjuncts
+    /// is only 11 nodes tall, but its rebuilt chain is 1024 deep).
+    fn bin(&self, (l, hl): Node, op: BinOp, (r, hr): Node) -> Result<Node, SqlError> {
+        let h = if op == BinOp::And {
+            hl + hr
+        } else {
+            hl.max(hr) + 1
+        };
+        self.node(Expr::bin(l, op, r), h)
+    }
+
     fn ident(&mut self) -> Result<String, SqlError> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
@@ -144,7 +208,12 @@ impl Parser {
 
     fn parse_query(&mut self) -> Result<Query, SqlError> {
         let mut q = Query::Select(Box::new(self.parse_select()?));
+        let mut branches = 1;
         while self.eat_kw("UNION") {
+            if branches == MAX_DEPTH {
+                return Err(self.err(format!("more than {MAX_DEPTH} UNION branches")));
+            }
+            branches += 1;
             let all = self.eat_kw("ALL");
             let rhs = self.parse_select()?;
             q = Query::Union {
@@ -165,30 +234,29 @@ impl Parser {
             items.push(self.parse_select_item()?);
         }
         self.expect_kw("FROM")?;
-        let (from, join_preds) = self.parse_from()?;
-        let mut where_clause = if self.eat_kw("WHERE") {
-            Some(self.parse_expr()?)
-        } else {
-            None
-        };
-        // Desugar JOIN … ON predicates into the WHERE clause.
-        if let Some(jp) = Expr::conjoin(join_preds) {
+        // JOIN … ON predicates desugar into the WHERE clause, ahead of it.
+        let (from, mut preds) = self.parse_from()?;
+        if self.eat_kw("WHERE") {
+            preds.push(self.parse_expr()?);
+        }
+        let mut where_clause: Option<Node> = None;
+        for p in preds {
             where_clause = Some(match where_clause {
-                Some(w) => Expr::and(jp, w),
-                None => jp,
+                None => p,
+                Some(acc) => self.bin(acc, BinOp::And, p)?,
             });
         }
         let mut group_by = Vec::new();
         if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
-            group_by.push(self.parse_expr()?);
+            group_by.push(self.parse_expr()?.0);
             while self.peek() == Some(&Tok::Comma) {
                 self.pos += 1;
-                group_by.push(self.parse_expr()?);
+                group_by.push(self.parse_expr()?.0);
             }
         }
         let having = if self.eat_kw("HAVING") {
-            Some(self.parse_expr()?)
+            Some(self.parse_expr()?.0)
         } else {
             None
         };
@@ -196,7 +264,7 @@ impl Parser {
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
             loop {
-                let expr = self.parse_expr()?;
+                let (expr, _) = self.parse_expr()?;
                 let desc = if self.eat_kw("DESC") {
                     true
                 } else {
@@ -223,7 +291,7 @@ impl Parser {
             distinct,
             items,
             from,
-            where_clause,
+            where_clause: where_clause.map(|(w, _)| w),
             group_by,
             having,
             order_by,
@@ -244,7 +312,7 @@ impl Parser {
                 return Ok(SelectItem::QualifiedWildcard(q));
             }
         }
-        let expr = self.parse_expr()?;
+        let (expr, _) = self.parse_expr()?;
         let alias = if self.eat_kw("AS") {
             Some(self.ident()?)
         } else if let Some(Tok::Ident(_)) = self.peek() {
@@ -257,7 +325,7 @@ impl Parser {
 
     /// Parse the FROM clause; JOIN…ON predicates are returned separately for
     /// desugaring into WHERE.
-    fn parse_from(&mut self) -> Result<(Vec<TableRef>, Vec<Expr>), SqlError> {
+    fn parse_from(&mut self) -> Result<(Vec<TableRef>, Vec<Node>), SqlError> {
         let mut tables = vec![self.parse_table_ref()?];
         let mut preds = Vec::new();
         loop {
@@ -305,53 +373,62 @@ impl Parser {
 
     // ---- expressions ------------------------------------------------------
 
-    fn parse_expr(&mut self) -> Result<Expr, SqlError> {
-        self.parse_or()
+    fn parse_expr(&mut self) -> Result<Node, SqlError> {
+        self.enter()?;
+        let e = self.parse_or();
+        self.depth -= 1;
+        e
     }
 
-    fn parse_or(&mut self) -> Result<Expr, SqlError> {
+    fn parse_or(&mut self) -> Result<Node, SqlError> {
         let mut e = self.parse_and()?;
         while self.eat_kw("OR") {
             let r = self.parse_and()?;
-            e = Expr::bin(e, BinOp::Or, r);
+            e = self.bin(e, BinOp::Or, r)?;
         }
         Ok(e)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, SqlError> {
+    fn parse_and(&mut self) -> Result<Node, SqlError> {
         let mut e = self.parse_not()?;
         while self.eat_kw("AND") {
             let r = self.parse_not()?;
-            e = Expr::bin(e, BinOp::And, r);
+            e = self.bin(e, BinOp::And, r)?;
         }
         Ok(e)
     }
 
-    fn parse_not(&mut self) -> Result<Expr, SqlError> {
+    fn parse_not(&mut self) -> Result<Node, SqlError> {
         if self.eat_kw("NOT") {
-            let inner = self.parse_not()?;
-            return Ok(Expr::Un(UnOp::Not, Box::new(inner)));
+            self.enter()?;
+            let inner = self.parse_not();
+            self.depth -= 1;
+            let (inner, h) = inner?;
+            return self.node(Expr::Un(UnOp::Not, Box::new(inner)), h + 1);
         }
         self.parse_predicate()
     }
 
-    fn parse_predicate(&mut self) -> Result<Expr, SqlError> {
+    fn parse_predicate(&mut self) -> Result<Node, SqlError> {
         let e = self.parse_additive()?;
-        // Comparison?
         let op = match self.peek() {
-            Some(Tok::Eq) => Some(BinOp::Eq),
-            Some(Tok::Neq) => Some(BinOp::Neq),
-            Some(Tok::Lt) => Some(BinOp::Lt),
-            Some(Tok::Le) => Some(BinOp::Le),
-            Some(Tok::Gt) => Some(BinOp::Gt),
-            Some(Tok::Ge) => Some(BinOp::Ge),
-            _ => None,
+            Some(Tok::Eq) => BinOp::Eq,
+            Some(Tok::Neq) => BinOp::Neq,
+            Some(Tok::Lt) => BinOp::Lt,
+            Some(Tok::Le) => BinOp::Le,
+            Some(Tok::Gt) => BinOp::Gt,
+            Some(Tok::Ge) => BinOp::Ge,
+            _ => return self.parse_predicate_tail(e),
         };
-        if let Some(op) = op {
-            self.pos += 1;
-            let r = self.parse_additive()?;
-            return Ok(Expr::bin(e, op, r));
-        }
+        self.pos += 1;
+        let r = self.parse_additive()?;
+        self.bin(e, op, r)
+    }
+
+    /// The non-comparison predicates after their first operand. Kept out
+    /// of [`Parser::parse_predicate`] so that the frame every nesting
+    /// level puts on the stack stays small.
+    fn parse_predicate_tail(&mut self, (e, h): Node) -> Result<Node, SqlError> {
         // NOT BETWEEN / NOT IN / NOT LIKE
         let negated = if self.at_kw("NOT")
             && matches!(self.peek2(), Some(Tok::Kw(k)) if k == "BETWEEN" || k == "IN" || k == "LIKE")
@@ -362,56 +439,64 @@ impl Parser {
             false
         };
         if self.eat_kw("BETWEEN") {
-            let low = self.parse_additive()?;
+            let (low, hl) = self.parse_additive()?;
             self.expect_kw("AND")?;
-            let high = self.parse_additive()?;
-            return Ok(Expr::Between {
+            let (high, hh) = self.parse_additive()?;
+            let between = Expr::Between {
                 expr: Box::new(e),
                 low: Box::new(low),
                 high: Box::new(high),
                 negated,
-            });
+            };
+            return self.node(between, h.max(hl).max(hh) + 1);
         }
         if self.eat_kw("IN") {
             self.expect(Tok::LParen, "(")?;
-            let mut list = vec![self.parse_expr()?];
-            while self.peek() == Some(&Tok::Comma) {
+            let mut tallest = h;
+            let mut list = Vec::new();
+            loop {
+                let (item, hi) = self.parse_expr()?;
+                tallest = tallest.max(hi);
+                list.push(item);
+                if self.peek() != Some(&Tok::Comma) {
+                    break;
+                }
                 self.pos += 1;
-                list.push(self.parse_expr()?);
             }
             self.expect(Tok::RParen, ")")?;
-            return Ok(Expr::InList {
+            let in_list = Expr::InList {
                 expr: Box::new(e),
                 list,
                 negated,
-            });
+            };
+            return self.node(in_list, tallest + 1);
         }
         if self.eat_kw("LIKE") {
-            match self.bump() {
+            return match self.bump() {
                 Some(Tok::Str(pattern)) => {
-                    return Ok(Expr::Like {
+                    let like = Expr::Like {
                         expr: Box::new(e),
                         pattern,
                         negated,
-                    })
+                    };
+                    self.node(like, h + 1)
                 }
-                other => {
-                    return Err(self.err(format!("expected LIKE pattern string, found {other:?}")))
-                }
-            }
+                other => Err(self.err(format!("expected LIKE pattern string, found {other:?}"))),
+            };
         }
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
             self.expect_kw("NULL")?;
-            return Ok(Expr::IsNull {
+            let is_null = Expr::IsNull {
                 expr: Box::new(e),
                 negated,
-            });
+            };
+            return self.node(is_null, h + 1);
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, SqlError> {
+    fn parse_additive(&mut self) -> Result<Node, SqlError> {
         let mut e = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -422,12 +507,12 @@ impl Parser {
             };
             self.pos += 1;
             let r = self.parse_multiplicative()?;
-            e = Expr::bin(e, op, r);
+            e = self.bin(e, op, r)?;
         }
         Ok(e)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, SqlError> {
+    fn parse_multiplicative(&mut self) -> Result<Node, SqlError> {
         let mut e = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -437,106 +522,126 @@ impl Parser {
             };
             self.pos += 1;
             let r = self.parse_unary()?;
-            e = Expr::bin(e, op, r);
+            e = self.bin(e, op, r)?;
         }
         Ok(e)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, SqlError> {
+    fn parse_unary(&mut self) -> Result<Node, SqlError> {
         if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
-            let inner = self.parse_unary()?;
-            return Ok(match inner {
-                Expr::Int(i) => Expr::Int(-i),
-                Expr::Float(x) => Expr::Float(-x),
-                other => Expr::Un(UnOp::Neg, Box::new(other)),
-            });
+            self.enter()?;
+            let inner = self.parse_unary();
+            self.depth -= 1;
+            return match inner? {
+                (Expr::Int(i), h) => Ok((Expr::Int(-i), h)),
+                (Expr::Float(x), h) => Ok((Expr::Float(-x), h)),
+                (other, h) => self.node(Expr::Un(UnOp::Neg, Box::new(other)), h + 1),
+            };
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, SqlError> {
-        match self.bump() {
-            Some(Tok::Int(i)) => Ok(Expr::Int(i)),
-            Some(Tok::Float(x)) => Ok(Expr::Float(x)),
-            Some(Tok::Str(s)) => Ok(Expr::Str(s)),
-            Some(Tok::Kw(k)) if k == "NULL" => Ok(Expr::Null),
-            Some(Tok::Kw(k)) if k == "TRUE" => Ok(Expr::Bool(true)),
-            Some(Tok::Kw(k)) if k == "FALSE" => Ok(Expr::Bool(false)),
-            Some(Tok::Kw(k)) if k == "CASE" => self.parse_case(),
+    fn parse_primary(&mut self) -> Result<Node, SqlError> {
+        let leaf = match self.bump() {
+            Some(Tok::Int(i)) => Expr::Int(i),
+            Some(Tok::Float(x)) => Expr::Float(x),
+            Some(Tok::Str(s)) => Expr::Str(s),
+            Some(Tok::Kw(k)) if k == "NULL" => Expr::Null,
+            Some(Tok::Kw(k)) if k == "TRUE" => Expr::Bool(true),
+            Some(Tok::Kw(k)) if k == "FALSE" => Expr::Bool(false),
+            Some(Tok::Kw(k)) if k == "CASE" => return self.parse_case(),
             Some(Tok::LParen) => {
                 let e = self.parse_expr()?;
                 self.expect(Tok::RParen, ")")?;
-                Ok(e)
+                return Ok(e);
             }
             Some(Tok::Ident(name)) => {
                 // Function call?
                 if self.peek() == Some(&Tok::LParen) {
-                    self.pos += 1;
-                    if self.peek() == Some(&Tok::Star) {
-                        // COUNT(*)
-                        self.pos += 1;
-                        self.expect(Tok::RParen, ")")?;
-                        if !name.eq_ignore_ascii_case("count") {
-                            return Err(self.err(format!("{name}(*) is not valid")));
-                        }
-                        return Ok(Expr::Func("COUNT".into(), vec![]));
-                    }
-                    let mut args = Vec::new();
-                    if self.peek() != Some(&Tok::RParen) {
-                        args.push(self.parse_expr()?);
-                        while self.peek() == Some(&Tok::Comma) {
-                            self.pos += 1;
-                            args.push(self.parse_expr()?);
-                        }
-                    }
-                    self.expect(Tok::RParen, ")")?;
-                    let canonical = if is_aggregate(&name) {
-                        name.to_ascii_uppercase()
-                    } else {
-                        name
-                    };
-                    return Ok(Expr::Func(canonical, args));
+                    return self.parse_call(name);
                 }
                 // Qualified column?
                 if self.peek() == Some(&Tok::Dot) {
                     self.pos += 1;
                     let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef::new(&name, &col)));
+                    Expr::Column(ColumnRef::new(&name, &col))
+                } else {
+                    Expr::Column(ColumnRef::bare(&name))
                 }
-                Ok(Expr::Column(ColumnRef::bare(&name)))
             }
-            other => Err(self.err(format!("unexpected token {other:?} in expression"))),
-        }
+            other => return Err(self.err(format!("unexpected token {other:?} in expression"))),
+        };
+        Ok((leaf, 1))
     }
 
-    fn parse_case(&mut self) -> Result<Expr, SqlError> {
+    /// A function call after its name; the current token is `(`.
+    fn parse_call(&mut self, name: String) -> Result<Node, SqlError> {
+        self.pos += 1;
+        if self.peek() == Some(&Tok::Star) {
+            // COUNT(*)
+            self.pos += 1;
+            self.expect(Tok::RParen, ")")?;
+            if !name.eq_ignore_ascii_case("count") {
+                return Err(self.err(format!("{name}(*) is not valid")));
+            }
+            return Ok((Expr::Func("COUNT".into(), vec![]), 1));
+        }
+        let mut args = Vec::new();
+        let mut tallest = 0;
+        if self.peek() != Some(&Tok::RParen) {
+            loop {
+                let (arg, h) = self.parse_expr()?;
+                tallest = tallest.max(h);
+                args.push(arg);
+                if self.peek() != Some(&Tok::Comma) {
+                    break;
+                }
+                self.pos += 1;
+            }
+        }
+        self.expect(Tok::RParen, ")")?;
+        let canonical = if is_aggregate(&name) {
+            name.to_ascii_uppercase()
+        } else {
+            name
+        };
+        self.node(Expr::Func(canonical, args), tallest + 1)
+    }
+
+    fn parse_case(&mut self) -> Result<Node, SqlError> {
+        let mut tallest = 0;
+        let mut part = |p: &mut Self| -> Result<Expr, SqlError> {
+            let (e, h) = p.parse_expr()?;
+            tallest = tallest.max(h);
+            Ok(e)
+        };
         let operand = if !self.at_kw("WHEN") {
-            Some(Box::new(self.parse_expr()?))
+            Some(Box::new(part(self)?))
         } else {
             None
         };
         let mut branches = Vec::new();
         while self.eat_kw("WHEN") {
-            let cond = self.parse_expr()?;
+            let cond = part(self)?;
             self.expect_kw("THEN")?;
-            let val = self.parse_expr()?;
-            branches.push((cond, val));
+            branches.push((cond, part(self)?));
         }
         if branches.is_empty() {
             return Err(self.err("CASE requires at least one WHEN branch"));
         }
         let else_branch = if self.eat_kw("ELSE") {
-            Some(Box::new(self.parse_expr()?))
+            Some(Box::new(part(self)?))
         } else {
             None
         };
         self.expect_kw("END")?;
-        Ok(Expr::Case {
+        let case = Expr::Case {
             operand,
             branches,
             else_branch,
-        })
+        };
+        self.node(case, tallest + 1)
     }
 }
 
@@ -723,5 +828,81 @@ mod tests {
     #[test]
     fn sum_star_rejected() {
         assert!(parse_query("SELECT SUM(*) FROM t").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_every_recursive_form() {
+        // (shape, its deepest accepted size): one more is refused.
+        type Shape = (&'static str, fn(usize) -> String, usize);
+        let shapes: [Shape; 9] = [
+            (
+                "parens",
+                |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+                MAX_DEPTH - 1,
+            ),
+            (
+                "NOT",
+                |n| format!("{}TRUE", "NOT ".repeat(n)),
+                MAX_DEPTH - 1,
+            ),
+            ("minus", |n| format!("{}t.x", "- ".repeat(n)), MAX_DEPTH - 1),
+            (
+                "literal minus",
+                |n| format!("{}1", "- ".repeat(n)),
+                MAX_DEPTH - 1,
+            ),
+            ("chain", |n| vec!["1"; n].join(" + "), MAX_DEPTH),
+            ("AND chain", |n| vec!["TRUE"; n].join(" AND "), MAX_DEPTH),
+            (
+                "AND tree",
+                |n| (0..n).fold("TRUE".into(), |e, _| format!("({e}) AND ({e})")),
+                6,
+            ),
+            (
+                "call",
+                |n| format!("{}1{}", "f(".repeat(n), ")".repeat(n)),
+                MAX_DEPTH - 1,
+            ),
+            (
+                "CASE",
+                |n| format!("{}1{}", "CASE WHEN TRUE THEN ".repeat(n), " END".repeat(n)),
+                MAX_DEPTH - 1,
+            ),
+        ];
+        for (name, shape, deepest) in shapes {
+            let sql = format!("SELECT {} FROM t", shape(deepest));
+            let q = parse_query(&sql).unwrap_or_else(|e| panic!("{name} at the bound: {e}"));
+            assert!(q.to_string().starts_with("SELECT "), "{name} prints");
+            let err = parse_query(&format!("SELECT {} FROM t", shape(deepest + 1))).unwrap_err();
+            assert!(err.message.contains("deeper than"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn where_and_union_chains_are_bounded() {
+        let joins = |n: usize| format!("SELECT * FROM t{}", " JOIN u ON TRUE".repeat(n));
+        assert!(parse_query(&(joins(MAX_DEPTH - 1) + " WHERE TRUE")).is_ok());
+        assert!(parse_query(&(joins(MAX_DEPTH) + " WHERE TRUE")).is_err());
+        let unions = |n: usize| vec!["SELECT 1 FROM t"; n].join(" UNION ");
+        assert_eq!(
+            parse_query(&unions(MAX_DEPTH)).unwrap().branches().len(),
+            MAX_DEPTH
+        );
+        let err = parse_query(&unions(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("UNION branches"), "{err}");
+    }
+
+    #[test]
+    fn oversized_nesting_is_an_error_not_a_stack_overflow() {
+        let parens = format!(
+            "SELECT 1 FROM t WHERE {}1{} = 1",
+            "(".repeat(1000),
+            ")".repeat(1000)
+        );
+        let nots = format!("SELECT 1 FROM t WHERE {}1 = 1", "NOT ".repeat(50_000));
+        let chain = format!("SELECT 1 FROM t WHERE {}1 > 0", "1+".repeat(50_000));
+        for sql in [parens, nots, chain] {
+            assert!(parse_query(&sql).is_err());
+        }
     }
 }
