@@ -8,8 +8,8 @@
 //!
 //! `expr_eval` measures a filter+project pipeline over one million rows:
 //!
-//! * `interpreted/1000000` — [`coin_rel::reference::TreeFilter`] +
-//!   [`TreeProject`], the quarantined pre-PR evaluators;
+//! * `interpreted/1000000` — [`coin_bench::reference::TreeFilter`] +
+//!   [`TreeProject`], the tree-walking baselines;
 //! * `compiled/1000000` — [`Filter`]/[`Project`] running `ExprProg`s
 //!   (compilation included in the measured time, as `/query` pays it).
 //!
@@ -24,9 +24,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use coin_bench::reference::{TreeFilter, TreeProject};
 use coin_rel::exec::{drain, Filter, Project, TableScan};
 use coin_rel::expr::CExpr;
-use coin_rel::reference::{TreeFilter, TreeProject};
 use coin_rel::{ArithOp, BoxOp, ColumnType, ExprProg, Schema, Table, Value};
 use coin_sql::BinOp;
 use rand::rngs::StdRng;

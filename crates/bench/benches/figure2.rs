@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use coin_core::baseline::figure2_handwritten_rewrite;
+use coin_bench::pairwise::figure2_handwritten_rewrite;
 use coin_core::fixtures::figure2_system;
 
 const Q1: &str = "SELECT r1.cname, r1.revenue FROM r1, r2 \

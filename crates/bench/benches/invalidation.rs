@@ -11,10 +11,10 @@
 //!
 //! * `fine_grained` — the current system: unrelated `add_context` calls
 //!   leave every cached plan hot, so the workload keeps hitting;
-//! * `epoch_hammer` — the same loop with an explicit
-//!   [`CoinSystem::purge_plan_cache`] after each administration, restoring
-//!   the pre-PR behavior where every mutation forced the whole working
-//!   set to re-mediate.
+//! * `epoch_hammer` — the same loop emptying the plan cache after each
+//!   administration (capacity 0, then [`DEFAULT_CACHE_CAPACITY`] again),
+//!   restoring the old behavior where every mutation forced the whole
+//!   working set to re-mediate.
 //!
 //! A hit-rate summary prints after the criterion runs; setting
 //! `INVAL_GATE_MIN_HITRATE` (CI: `0.9`) turns a fine-grained hit rate
@@ -24,6 +24,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use coin_core::cache::DEFAULT_CACHE_CAPACITY;
 use coin_core::fixtures::synthetic_system;
 use coin_core::{CoinSystem, ContextTheory, ModifierSpec};
 
@@ -50,8 +51,9 @@ fn round(sys: &mut CoinSystem, name_seq: &mut usize, queries: &[String], hammer:
     ))
     .expect("fresh context names never collide");
     if hammer {
-        // The pre-PR policy: every administration flushed everything.
-        sys.purge_plan_cache();
+        // The old policy: every administration flushed everything.
+        sys.set_cache_capacity(0);
+        sys.set_cache_capacity(DEFAULT_CACHE_CAPACITY);
     }
     for q in queries {
         black_box(

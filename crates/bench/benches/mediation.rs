@@ -160,7 +160,7 @@ fn bench_case_growth(c: &mut Criterion) {
 fn bench_generality_ablation(c: &mut Criterion) {
     // Abductive general rewriter vs the hand-specialized rewriter on the
     // same scenario: the price of generality.
-    use coin_core::baseline::figure2_handwritten_rewrite;
+    use coin_bench::pairwise::figure2_handwritten_rewrite;
     use coin_core::fixtures::figure2_system;
 
     let sys = figure2_system();

@@ -4,7 +4,7 @@
 //!
 //! The `relational_join` / `relational_group_by` / `relational_distinct`
 //! groups measure the allocation-lean hot-path operators against their
-//! pre-optimization baselines from [`coin_rel::reference`]:
+//! pre-optimization baselines from [`coin_bench::reference`]:
 //!
 //! * `hash_join` (direct `u64` key hashing) vs `string_key` (a fresh key
 //!   `String` per build and probe row);
@@ -28,11 +28,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Instant;
 
+use coin_bench::reference::{BTreeAggregate, StringKeyHashJoin};
 use coin_rel::exec::{
     drain, AggFn, AggSpec, Aggregate, Distinct, HashJoin, NestedLoopJoin, Sort, ValuesScan,
 };
 use coin_rel::expr::CExpr;
-use coin_rel::reference::{BTreeAggregate, StringKeyHashJoin};
 use coin_rel::tempstore::{ExternalSorter, TempStore};
 use coin_rel::{execute_sql, Catalog, ColumnType, Row, Schema, Table, Value};
 use coin_sql::BinOp;
@@ -259,7 +259,8 @@ fn bench_distinct(c: &mut Criterion) {
 }
 
 fn bench_serialize(c: &mut Criterion) {
-    use coin_server::protocol::{table_to_json, write_value};
+    use coin_bench::tree_json::table_to_json;
+    use coin_server::protocol::write_value;
     use coin_server::JsonBuf;
 
     let n = 10_000usize;

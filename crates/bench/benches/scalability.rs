@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use coin_core::baseline::PairwiseIntegration;
+use coin_bench::pairwise::PairwiseIntegration;
 use coin_core::fixtures::synthetic_system;
 
 fn bench_scalability(c: &mut Criterion) {

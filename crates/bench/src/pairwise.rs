@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use coin_rel::Value;
 
-use crate::model::{ContextTheory, DomainModel, ModelError, ModifierSpec};
+use coin_core::{ContextTheory, DomainModel, ModelError, ModifierSpec};
 
 /// One a-priori authored conversion rule between two contexts for one
 /// semantic type: "to read `type` data of context `from` as context `to`,
@@ -147,13 +147,13 @@ pub fn figure2_handwritten_rewrite() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::synthetic_system;
+    use coin_core::fixtures::synthetic_system;
 
     #[test]
     fn pair_count_is_quadratic() {
         for n in [2usize, 4, 8] {
             let sys = synthetic_system(n, 1, 1);
-            let pw = PairwiseIntegration::derive(&sys.domain, &sys.contexts, "companyFinancials")
+            let pw = PairwiseIntegration::derive(sys.domain(), sys.contexts(), "companyFinancials")
                 .unwrap();
             // n source contexts + 1 receiver context.
             let total = n + 1;
@@ -169,10 +169,10 @@ mod tests {
         let sys2 = synthetic_system(n2, 1, 1);
         let coin1 = sys1.axiom_count();
         let coin2 = sys2.axiom_count();
-        let pw1 = PairwiseIntegration::derive(&sys1.domain, &sys1.contexts, "companyFinancials")
+        let pw1 = PairwiseIntegration::derive(sys1.domain(), sys1.contexts(), "companyFinancials")
             .unwrap()
             .statement_count();
-        let pw2 = PairwiseIntegration::derive(&sys2.domain, &sys2.contexts, "companyFinancials")
+        let pw2 = PairwiseIntegration::derive(sys2.domain(), sys2.contexts(), "companyFinancials")
             .unwrap()
             .statement_count();
         // COIN roughly doubles; pairwise roughly quadruples.
@@ -186,7 +186,7 @@ mod tests {
     fn constant_contexts_get_ratio_rules() {
         let sys = synthetic_system(3, 1, 1);
         let pw =
-            PairwiseIntegration::derive(&sys.domain, &sys.contexts, "companyFinancials").unwrap();
+            PairwiseIntegration::derive(sys.domain(), sys.contexts(), "companyFinancials").unwrap();
         // Context 1 uses scale 1000 (index 1), receiver uses 1.
         let rule = pw.rule("c_src1", "c_recv").unwrap();
         assert_eq!(rule.scale_ratio, Some(1000.0));
@@ -194,9 +194,9 @@ mod tests {
 
     #[test]
     fn data_dependent_context_breaks_constant_rules() {
-        let sys = crate::fixtures::figure2_system();
+        let sys = coin_core::fixtures::figure2_system();
         let pw =
-            PairwiseIntegration::derive(&sys.domain, &sys.contexts, "companyFinancials").unwrap();
+            PairwiseIntegration::derive(sys.domain(), sys.contexts(), "companyFinancials").unwrap();
         let rule = pw.rule("c_src1", "c_recv").unwrap();
         assert_eq!(rule.scale_ratio, None, "src1's scale depends on data");
         assert!(rule.statements >= 2);

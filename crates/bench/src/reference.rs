@@ -1,10 +1,10 @@
 //! Pre-optimization reference operators.
 //!
 //! These are the execution-hot-path implementations that shipped before the
-//! allocation-lean rework of [`crate::exec`]: a hash join keyed by
+//! allocation-lean rework of [`coin_rel::exec`]: a hash join keyed by
 //! materialized key *strings* and a BTreeMap-based aggregation performing
-//! O(log n) full-key-vector comparisons per input row. They are retained —
-//! quarantined here, out of the production module — for two purposes only:
+//! O(log n) full-key-vector comparisons per input row. They live in this
+//! dev-only crate, outside the product crates, for two purposes only:
 //!
 //! * **equivalence testing**: property tests drive the same seeded inputs
 //!   through the new and old operators and assert identical results;
@@ -16,23 +16,21 @@
 //! `DISTINCT` baseline needs no copy: `Distinct::with_spill_threshold(0)`
 //! forces exactly the old external-sort path.
 //!
-//! [`TreeFilter`] and [`TreeProject`] joined in PR 7: the recursive
-//! [`CExpr::eval`] tree walk was replaced on the hot path by the register
-//! VM of [`crate::prog`], and these keep the AST-walking evaluation alive
-//! as the reference semantics the VM is property-tested against (and the
-//! `expr_eval` bench's interpreted baseline).
+//! [`TreeFilter`] and [`TreeProject`] evaluate with the recursive
+//! [`CExpr::eval`] tree walk that the register VM of [`coin_rel::prog`]
+//! replaced on the hot path: they are the `expr_eval` bench's interpreted
+//! baseline.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::exec::{drain, AggSpec, BoxOp, ExecError, Operator};
-use crate::expr::CExpr;
-use crate::schema::{Row, Schema};
-use crate::value::Value;
+use coin_rel::exec::{drain, Acc, AggSpec, BoxOp, ExecError, Operator};
+use coin_rel::expr::CExpr;
+use coin_rel::{Row, Schema, Value};
 
-/// The pre-PR-7 filter: evaluates its predicate with the recursive
+/// The tree-walking filter: evaluates its predicate with the recursive
 /// [`CExpr::eval`] tree walk on every row (per-row `Box` pointer chasing,
 /// per-row `LIKE` pattern re-parse) instead of the compiled
-/// [`crate::prog::ExprProg`].
+/// [`coin_rel::prog::ExprProg`].
 pub struct TreeFilter {
     input: BoxOp,
     predicate: CExpr,
@@ -59,7 +57,7 @@ impl Operator for TreeFilter {
     }
 }
 
-/// The pre-PR-7 projection: one recursive tree walk per output expression
+/// The tree-walking projection: one recursive tree walk per output expression
 /// per row.
 pub struct TreeProject {
     input: BoxOp,
@@ -98,9 +96,9 @@ impl Operator for TreeProject {
     }
 }
 
-/// Hash key for a set of values: a canonical string encoding (the pre-PR
-/// strategy). Numeric values are widened so `Int(2)` and `Float(2.0)` hash
-/// identically.
+/// Hash key for a set of values: a canonical string encoding (the
+/// pre-optimization strategy). Numeric values are widened so `Int(2)` and
+/// `Float(2.0)` hash identically.
 fn string_key(row: &Row, keys: &[usize]) -> String {
     let mut s = String::new();
     for &i in keys {
@@ -121,7 +119,7 @@ fn string_key(row: &Row, keys: &[usize]) -> String {
     s
 }
 
-/// The pre-PR hash join: builds a `HashMap<String, Vec<Row>>` over the right
+/// The pre-optimization hash join: builds a `HashMap<String, Vec<Row>>` over the right
 /// input, materializing a fresh key `String` per build *and* probe row.
 pub struct StringKeyHashJoin {
     left: BoxOp,
@@ -236,10 +234,10 @@ impl Ord for GroupKey {
     }
 }
 
-/// The pre-PR aggregation: routes every input row through a
+/// The pre-optimization aggregation: routes every input row through a
 /// `BTreeMap<GroupKey, Vec<Acc>>`, paying an O(log n) full-key-vector
 /// comparison chain per row. Output order (sorted keys) is identical to
-/// [`crate::exec::Aggregate`]'s finish-time sort.
+/// [`coin_rel::exec::Aggregate`]'s finish-time sort.
 pub struct BTreeAggregate {
     input: Option<BoxOp>,
     group_exprs: Vec<CExpr>,
@@ -276,7 +274,7 @@ impl Operator for BTreeAggregate {
     fn next(&mut self) -> Result<Option<Row>, ExecError> {
         if self.out.is_none() {
             let mut src = self.input.take().expect("input present");
-            let mut groups: BTreeMap<GroupKey, Vec<crate::exec::Acc>> = BTreeMap::new();
+            let mut groups: BTreeMap<GroupKey, Vec<Acc>> = BTreeMap::new();
             while let Some(row) = src.next()? {
                 let key = GroupKey(
                     self.group_exprs
@@ -284,12 +282,9 @@ impl Operator for BTreeAggregate {
                         .map(|e| e.eval(&row))
                         .collect::<Result<_, _>>()?,
                 );
-                let accs = groups.entry(key).or_insert_with(|| {
-                    self.aggs
-                        .iter()
-                        .map(|a| crate::exec::Acc::new(a.f))
-                        .collect()
-                });
+                let accs = groups
+                    .entry(key)
+                    .or_insert_with(|| self.aggs.iter().map(|a| Acc::new(a.f)).collect());
                 for (acc, spec) in accs.iter_mut().zip(&self.aggs) {
                     match &spec.arg {
                         None => acc.update(None)?,
@@ -303,17 +298,14 @@ impl Operator for BTreeAggregate {
             if groups.is_empty() && self.global {
                 groups.insert(
                     GroupKey(Vec::new()),
-                    self.aggs
-                        .iter()
-                        .map(|a| crate::exec::Acc::new(a.f))
-                        .collect(),
+                    self.aggs.iter().map(|a| Acc::new(a.f)).collect(),
                 );
             }
             let rows: Vec<Row> = groups
                 .into_iter()
                 .map(|(k, accs)| {
                     let mut row = k.0;
-                    row.extend(accs.into_iter().map(crate::exec::Acc::finish));
+                    row.extend(accs.into_iter().map(Acc::finish));
                     row
                 })
                 .collect();

@@ -55,7 +55,7 @@ pub struct CacheStats {
     /// cold misses on one key.
     pub compiles: u64,
     /// Entries dropped because a model mutation touched one of their
-    /// recorded dependencies (or an explicit purge dropped them).
+    /// recorded dependencies.
     pub invalidations: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
@@ -233,27 +233,6 @@ impl QueryCache {
         }
     }
 
-    /// Look up a prepared query still valid under `versions`. A present
-    /// but stale entry is removed and counted as an invalidation; any
-    /// non-returning outcome counts as a miss.
-    pub fn get(
-        &self,
-        receiver: &str,
-        sql: &str,
-        versions: &ModelVersions,
-    ) -> Option<Arc<PreparedQuery>> {
-        match self.lookup(receiver, sql, versions) {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Single-flight entry point: return a cached artifact, or elect this
     /// caller leader for the key, or park until the current leader lands
     /// and serve its artifact. Only a leader election counts as a miss;
@@ -369,16 +348,6 @@ impl QueryCache {
         }
         inner.invalidations += victims.len() as u64;
         victims.len() as u64
-    }
-
-    /// Drop every entry unconditionally (the pre-dependency-tracking
-    /// "epoch hammer", kept as an explicit administrative control and as
-    /// the baseline the invalidation bench compares against).
-    pub fn purge(&self) {
-        let mut inner = self.lock();
-        inner.invalidations += inner.len as u64;
-        inner.len = 0;
-        inner.map.clear();
     }
 
     /// Change the capacity bound, evicting LRU entries down to the new

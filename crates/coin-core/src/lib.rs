@@ -24,9 +24,7 @@
 //! * [`cache`] — the bounded, dependency-invalidated LRU cache of
 //!   prepared queries behind [`system::CoinSystem::prepare`];
 //! * [`fixtures`] — the Figure 2 scenario and synthetic n-source
-//!   deployments;
-//! * [`baseline`] — the tightly-coupled pairwise-integration baseline
-//!   (\[SL90\]) against which the scalability claim is measured.
+//!   deployments.
 //!
 //! ## Quickstart (paper §3)
 //!
@@ -49,7 +47,6 @@
 //! assert_eq!(answer.table.rows[0][1], coin_rel::Value::Float(9_600_000.0));
 //! ```
 
-pub mod baseline;
 pub mod cache;
 pub mod encode;
 pub mod fixtures;

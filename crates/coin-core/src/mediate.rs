@@ -50,6 +50,9 @@ pub enum MediationError {
     Unsupported(String),
     /// Decoding an abductive answer back to SQL failed (internal).
     Decode(String),
+    /// The abductive search hit a solver bound (depth, hypothesis-set size
+    /// or the case budget), so its answers would be a partial UNION.
+    Truncated(SolverConfig),
 }
 
 impl std::fmt::Display for MediationError {
@@ -61,6 +64,12 @@ impl std::fmt::Display for MediationError {
             MediationError::Logic(e) => write!(f, "{e}"),
             MediationError::Unsupported(m) => write!(f, "mediation does not support: {m}"),
             MediationError::Decode(m) => write!(f, "internal decode error: {m}"),
+            MediationError::Truncated(c) => write!(
+                f,
+                "mediation exceeded its search bounds (at most {} conflict-resolution \
+                 cases, depth {}, {} assumptions per case); refusing a partial answer",
+                c.max_answers, c.max_depth, c.max_abductions
+            ),
         }
     }
 }
@@ -217,6 +226,9 @@ impl<'a> Mediator<'a> {
             MediationError::Decode(format!("goal construction: {e}\ngoals: {goals}"))
         })?;
         let answers = solver.all_answers(&parsed_goals, nvars);
+        if solver.was_truncated() {
+            return Err(MediationError::Truncated(self.solver_config));
+        }
         if answers.is_empty() {
             // No consistent case exists — the query is provably empty
             // (e.g. a ground-false predicate, or contradictory context
@@ -242,14 +254,7 @@ impl<'a> Mediator<'a> {
             });
         }
 
-        let branches = decode_branches(
-            &answers,
-            &s,
-            &out_vars,
-            &names,
-            &enc.ancillaries,
-            self.conversions,
-        )?;
+        let branches = decode_branches(&answers, &s, &out_vars, &names, &enc.ancillaries)?;
 
         // Ancillary lookups surface as extra FROM tables in the decoded
         // branches (e.g. the exchange-rate relation): stage them in the
@@ -398,12 +403,11 @@ fn decode_branches(
     out_vars: &[String],
     names: &std::collections::HashMap<String, u32>,
     ancillaries: &[(String, Conversion)],
-    conversions: &ConversionRegistry,
 ) -> Result<Vec<BranchReport>, MediationError> {
     let mut branches: Vec<BranchReport> = Vec::new();
     let mut seen_sql: Vec<String> = Vec::new();
     for ans in answers {
-        let branch = decode_answer(ans, s, out_vars, names, ancillaries, conversions)?;
+        let branch = decode_answer(ans, s, out_vars, names, ancillaries)?;
         let printed = branch.select.to_string();
         if !seen_sql.contains(&printed) {
             seen_sql.push(printed);
@@ -550,9 +554,7 @@ fn decode_answer(
     out_vars: &[String],
     names: &std::collections::HashMap<String, u32>,
     ancillaries: &[(String, Conversion)],
-    conversions: &ConversionRegistry,
 ) -> Result<BranchReport, MediationError> {
-    let _ = conversions;
     // 1. Ancillary atoms introduce FROM aliases and map their rate variable.
     let mut from = original.from.clone();
     let mut used_bindings: Vec<String> = from.iter().map(|t| t.binding().to_owned()).collect();

@@ -106,21 +106,9 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Compile `sql` posed in `receiver` context against the system's
-    /// current model. This is the full compile pipeline —
-    /// parse → split → mediate → plan — with nothing executed.
-    pub fn compile(
-        system: &CoinSystem,
-        sql: &str,
-        receiver: &str,
-    ) -> Result<PreparedQuery, CoinError> {
-        let q = coin_sql::parse_query(sql)?;
-        PreparedQuery::compile_parsed(system, q, sql, receiver)
-    }
-
-    /// [`PreparedQuery::compile`] from an already-parsed query — the
-    /// cache-aware path parses once to canonicalize its key, then hands
-    /// the AST here so the text is never parsed twice.
+    /// Compile an already-parsed query posed in `receiver` context against
+    /// the system's current model (split → mediate → plan); `sql` is the
+    /// text the artifact reports.
     pub(crate) fn compile_parsed(
         system: &CoinSystem,
         q: Query,
@@ -161,7 +149,7 @@ impl PreparedQuery {
     /// The receiver SQL this artifact was compiled from. Artifacts obtained
     /// through the cache-aware [`crate::CoinSystem::prepare`] path report
     /// the *canonical* printed form of the parsed query (the cache key);
-    /// direct [`PreparedQuery::compile`] keeps the caller's spelling.
+    /// [`crate::CoinSystem::prepare_uncached`] keeps the caller's spelling.
     pub fn sql(&self) -> &str {
         &self.sql
     }

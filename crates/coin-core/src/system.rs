@@ -435,9 +435,12 @@ impl CoinSystem {
         }
     }
 
-    /// Compile without touching the cache (the compile pipeline itself).
+    /// Compile `sql` posed in `receiver` context without touching the
+    /// cache: the full compile pipeline — parse → split → mediate → plan —
+    /// with nothing executed.
     pub fn prepare_uncached(&self, sql: &str, receiver: &str) -> Result<PreparedQuery, CoinError> {
-        PreparedQuery::compile(self, sql, receiver)
+        let q = coin_sql::parse_query(sql)?;
+        PreparedQuery::compile_parsed(self, q, sql, receiver)
     }
 
     /// Cumulative prepared-query cache counters and occupancy.
@@ -459,15 +462,6 @@ impl CoinSystem {
     /// evicted least-recently-used first; 0 disables caching).
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
-    }
-
-    /// Drop every cached plan unconditionally — the old "epoch hammer"
-    /// behavior, kept as an explicit operational control (and as the
-    /// baseline the invalidation bench measures fine-grained eviction
-    /// against). Normal administration never needs this: the `add_*`
-    /// methods already evict exactly the dependent plans.
-    pub fn purge_plan_cache(&self) {
-        self.cache.purge();
     }
 
     /// The full pipeline: mediate, plan, execute, and (if the receiver's

@@ -244,3 +244,33 @@ fn like_in_where_rejected_with_clear_error() {
         .unwrap_err();
     assert!(err.to_string().contains("LIKE"), "{err}");
 }
+
+/// `SELECT t0.revenue, …, t{n-1}.revenue FROM r1 t0, …, r1 t{n-1}`: every
+/// binding case-splits three ways, so mediation needs 3^n cases.
+fn n_way_revenue_self_join(n: usize) -> String {
+    let items: Vec<String> = (0..n).map(|i| format!("t{i}.revenue")).collect();
+    let from: Vec<String> = (0..n).map(|i| format!("r1 t{i}")).collect();
+    format!("SELECT {} FROM {}", items.join(", "), from.join(", "))
+}
+
+#[test]
+fn case_budget_overflow_is_an_error_not_a_partial_union() {
+    let sys = figure2_system();
+    // 3^7 = 2187 cases exceed the mediator's 512-case budget: a partial
+    // UNION would silently drop answers, so mediation must refuse.
+    let seven = n_way_revenue_self_join(7);
+    let err = sys.query(&seven, "c_recv").unwrap_err();
+    assert!(err.to_string().contains("search bounds"), "{err}");
+    assert!(sys.mediate(&seven, "c_recv").is_err());
+    let (naive, _) = sys.query_naive(&seven).unwrap();
+    assert_eq!(
+        naive.rows.len(),
+        128,
+        "the naive answer the union would cut"
+    );
+
+    // 3^5 = 243 cases fit: every row of the 2^5 cross product answers.
+    let five = n_way_revenue_self_join(5);
+    assert_eq!(sys.mediate(&five, "c_recv").unwrap().branches.len(), 243);
+    assert_eq!(sys.query(&five, "c_recv").unwrap().table.rows.len(), 32);
+}

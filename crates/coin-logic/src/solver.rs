@@ -15,8 +15,8 @@
 //!   residual constraints) becomes one sub-query of the mediated union.
 //!
 //! The solver is bounded: a configurable depth limit turns runaway
-//! derivations into silent branch failures and sets a `truncated` flag the
-//! caller can inspect.
+//! derivations into silent branch failures, and the answer budget stops
+//! enumeration. Either sets a `truncated` flag the caller can inspect.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -200,7 +200,8 @@ impl<'p> Solver<'p> {
         }
     }
 
-    /// Did any branch hit the depth or abduction limit?
+    /// Did any branch hit the depth or abduction limit, or did
+    /// [`Solver::all_answers`] find an answer past `max_answers`?
     pub fn was_truncated(&self) -> bool {
         self.truncated.get()
     }
@@ -227,15 +228,18 @@ impl<'p> Solver<'p> {
                     constraints: st.constraints.resolved(&st.bindings),
                 };
                 let canon = ans.canonical();
-                if !seen.contains(&canon) {
-                    seen.push(canon);
-                    out.push(ans);
+                if seen.contains(&canon) {
+                    return Ctl::Continue;
                 }
                 if out.len() >= max {
-                    Ctl::Stop
-                } else {
-                    Ctl::Continue
+                    // One distinct answer past the budget: the enumeration
+                    // is incomplete.
+                    self.truncated.set(true);
+                    return Ctl::Stop;
                 }
+                seen.push(canon);
+                out.push(ans);
+                Ctl::Continue
             },
         );
         out
@@ -932,13 +936,15 @@ mod tests {
     #[test]
     fn max_answers_respected() {
         let p = Program::from_source("nat(0). nat(1). nat(2). nat(3). nat(4).").unwrap();
-        let s = Solver::with_config(
-            &p,
-            SolverConfig {
-                max_answers: 2,
+        // Only an answer past the budget counts as truncation.
+        for (max_answers, truncated) in [(2, true), (5, false)] {
+            let config = SolverConfig {
+                max_answers,
                 ..SolverConfig::default()
-            },
-        );
-        assert_eq!(s.query("nat(X)").unwrap().len(), 2);
+            };
+            let s = Solver::with_config(&p, config);
+            assert_eq!(s.query("nat(X)").unwrap().len(), max_answers);
+            assert_eq!(s.was_truncated(), truncated);
+        }
     }
 }

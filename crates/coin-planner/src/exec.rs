@@ -148,20 +148,6 @@ impl PlanRows {
     }
 }
 
-/// Execute a plan's fetch steps eagerly and return the local pipeline as a
-/// row stream carrying the execution statistics (the communication ones
-/// are final once the fetches ran). A supplied [`CancelToken`] aborts the
-/// pipeline mid-pull.
-pub fn execute_plan_stream(
-    plan: &Plan,
-    dict: &Dictionary,
-    cancel: Option<CancelToken>,
-) -> Result<PlanRows, PlanError> {
-    let store = TempStore::new();
-    let (schema, op, stats) = build_plan_pipeline(plan, dict, cancel, &store)?;
-    Ok(PlanRows::from_parts(schema, op, store, stats))
-}
-
 /// Run a plan's fetch steps and build its local pipeline over `store`.
 pub(crate) fn build_plan_pipeline(
     plan: &Plan,

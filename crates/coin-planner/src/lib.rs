@@ -14,8 +14,8 @@
 //!   dependent access, fetch ordering), all individually switchable for
 //!   ablation;
 //! * [`plan::Plan`] — the explainable execution plan;
-//! * [`exec::execute_plan_stream`] — plan execution as a row stream, with
-//!   communication and spill accounting.
+//! * [`Planner::execute_planned_stream`] — plan execution as a row stream
+//!   ([`exec::PlanRows`]), with communication and spill accounting.
 
 pub mod dictionary;
 pub mod exec;
@@ -23,7 +23,7 @@ pub mod optimize;
 pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
-pub use exec::{execute_plan_stream, ExecStats, PlanRows};
+pub use exec::{ExecStats, PlanRows};
 pub use optimize::{Planner, PlannerConfig};
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
@@ -202,9 +202,13 @@ mod tests {
             "SELECT r3.rate FROM r3 WHERE r3.fromCur = 'JPY' AND r3.toCur = 'USD'",
         )
         .unwrap();
-        let plan = p.plan_select(q.branches()[0]).unwrap();
-        assert!(matches!(plan.steps[0], FetchStep::Independent { .. }));
-        let (t, _) = execute_plan_stream(&plan, &p.dictionary, None)
+        let plan = p.plan_query(&q).unwrap();
+        assert!(matches!(
+            plan.branches[0].steps[0],
+            FetchStep::Independent { .. }
+        ));
+        let (t, _) = p
+            .execute_planned_stream(&plan, None)
             .unwrap()
             .collect()
             .unwrap();

@@ -150,17 +150,19 @@ fn plan_warms_its_expression_program_cache() {
     let q =
         coin_sql::parse_query("SELECT o.oid + 1 FROM orders o WHERE o.amount > 40 AND o.oid < 9")
             .unwrap();
-    let plan = planner.plan_select(q.branches()[0]).unwrap();
-    let warmed = plan.programs.len();
+    let plan = planner.plan_query(&q).unwrap();
+    let programs = &plan.branches[0].programs;
+    let warmed = programs.len();
     assert!(warmed > 0, "plan-time warming compiled no programs");
     // Executing the plan must not add entries — everything was pre-lowered.
-    let (t, _) = coin_planner::execute_plan_stream(&plan, &planner.dictionary, None)
+    let (t, _) = planner
+        .execute_planned_stream(&plan, None)
         .unwrap()
         .collect()
         .unwrap();
     assert_eq!(t.rows.len(), 4); // amounts 50..80 with oid < 9
     assert_eq!(
-        plan.programs.len(),
+        programs.len(),
         warmed,
         "execution recompiled expressions the planner should have cached"
     );

@@ -991,9 +991,11 @@ impl AggFn {
     }
 }
 
-/// Accumulator for one aggregate over one group.
+/// Accumulator for one aggregate over one group. It also drives the
+/// pre-optimization aggregation baseline of the bench crate, which calls
+/// it per row from outside this crate — hence the `#[inline]` methods.
 #[derive(Debug, Clone)]
-pub(crate) enum Acc {
+pub enum Acc {
     Count(i64),
     Sum {
         sum: f64,
@@ -1012,7 +1014,8 @@ pub(crate) enum Acc {
 }
 
 impl Acc {
-    pub(crate) fn new(f: AggFn) -> Acc {
+    #[inline]
+    pub fn new(f: AggFn) -> Acc {
         match f {
             AggFn::CountStar | AggFn::Count => Acc::Count(0),
             AggFn::Sum => Acc::Sum {
@@ -1033,7 +1036,8 @@ impl Acc {
         }
     }
 
-    pub(crate) fn update(&mut self, v: Option<&Value>) -> Result<(), ExecError> {
+    #[inline]
+    pub fn update(&mut self, v: Option<&Value>) -> Result<(), ExecError> {
         match self {
             Acc::Count(n) => match v {
                 // COUNT(*) gets None; COUNT(e) skips NULLs.
@@ -1107,7 +1111,8 @@ impl Acc {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
+    #[inline]
+    pub fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
             Acc::Sum {

@@ -19,14 +19,16 @@
 //!   [`TempStore`] per execution is handed to every spilling operator, so
 //!   its counters are that execution's exact spill accounting, whichever
 //!   thread pulls the rows;
-//! * [`mod@reference`] — the pre-optimization operator implementations,
-//!   kept as equivalence-test and benchmark baselines;
 //! * [`engine`] — a per-source SQL processor: parse → normalize → operator
 //!   tree → result table, with filter pushdown and equi-join detection.
 //!   One builder per level — [`build_select_pipeline`] for a SELECT block,
 //!   [`build_union_pipeline`] for combining branches, and
 //!   [`build_query_pipeline`] over both — serves every layer above;
 //!   [`execute_sql`] and [`execute_select`] are those pipelines drained.
+//!
+//! Only the operators the engine builds ship here; the pre-optimization
+//! baselines they are benchmarked and property-tested against live in the
+//! dev-only `coin-bench` crate.
 //!
 //! ## Example
 //!
@@ -50,7 +52,6 @@ pub mod engine;
 pub mod exec;
 pub mod expr;
 pub mod prog;
-pub mod reference;
 pub mod schema;
 pub mod tempstore;
 pub mod value;

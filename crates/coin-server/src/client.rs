@@ -379,7 +379,7 @@ pub struct ServerStats {
     /// single-flight guard a stampede on one key adds exactly 1.
     pub cache_compiles: u64,
     /// Entries dropped because a model mutation touched one of their
-    /// recorded dependencies (plus explicit purges).
+    /// recorded dependencies.
     pub cache_invalidations: u64,
     pub cache_evictions: u64,
     pub cache_entries: u64,

@@ -11,7 +11,8 @@
 //! * [`protocol`] — the mediation endpoints (`/dictionary`, `/query`,
 //!   `/stats`, `/qbe`) over a shared [`coin_core::CoinSystem`] (or a
 //!   [`protocol::SharedSystem`] when administration interleaves with
-//!   traffic);
+//!   traffic); every `/query` body, streamed or not, comes from one
+//!   result writer that encodes values with [`protocol::write_value`];
 //! * [`client`] — [`client::Connection`] / [`client::Statement`] /
 //!   [`client::ResultSet`], the ODBC-style API (connection-reusing);
 //! * [`qbe`] — QBE form rendering and submission handling.
@@ -37,7 +38,4 @@ pub use http::{
     ServerMetricsSnapshot, StreamBody,
 };
 pub use json::{parse as parse_json, Json, JsonBuf, JsonError};
-pub use protocol::{
-    start_server, start_server_shared, start_server_with, table_to_json, value_to_json,
-    SharedSystem,
-};
+pub use protocol::{start_server, start_server_shared, start_server_with, SharedSystem};

@@ -14,7 +14,9 @@
 //!   the operator pipeline as a chunked response by default (`"stream":
 //!   false` drains the same writer into one `Content-Length` body — the
 //!   bytes are identical either way); `"max_rows"`/`"max_bytes"` cap the
-//!   result and set `"truncated": true` when rows were dropped;
+//!   result and set `"truncated": true` when rows were dropped.
+//!   `"mode": "explain"` compiles through the same prepared-query cache
+//!   and answers only `"mediated_sql"`, `"explanation"` and `"branches"`;
 //! * `GET /stats` — cumulative prepared-query cache counters and the
 //!   current model epoch;
 //! * `GET /qbe`, `POST /qbe` — the HTML Query-By-Example interface
@@ -27,7 +29,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, RwLock};
 
 use coin_core::{CoinSystem, MediatedRows, PlanRows};
-use coin_rel::{CancelToken, Schema, Table, Value};
+use coin_rel::{CancelToken, Schema, Value};
 
 use crate::http::{
     serve_with, Handler, HttpError, HttpRequest, HttpResponse, ServerConfig, ServerHandle,
@@ -40,17 +42,6 @@ use crate::json::{parse, Json, JsonBuf};
 /// mutations take the write lock, so a response is always computed — and
 /// its `plan_epoch` reported — against one coherent model state.
 pub type SharedSystem = Arc<RwLock<CoinSystem>>;
-
-/// Encode a value for the wire.
-pub fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Arr(vec![Json::str("b"), Json::Bool(*b)]),
-        Value::Int(i) => Json::Arr(vec![Json::str("i"), Json::Str(i.to_string())]),
-        Value::Float(f) => Json::Arr(vec![Json::str("f"), Json::Num(*f)]),
-        Value::Str(s) => Json::Arr(vec![Json::str("s"), Json::str(s)]),
-    }
-}
 
 /// Decode a wire value.
 pub fn json_to_value(j: &Json) -> Option<Value> {
@@ -71,8 +62,8 @@ pub fn json_to_value(j: &Json) -> Option<Value> {
 }
 
 /// Serialize a value straight into an output buffer in the tagged wire
-/// format — the allocation-lean counterpart of [`value_to_json`] used on
-/// the `/query` hot path (no `Json` nodes, no intermediate strings).
+/// format — the one value encoder behind every `/query` body (no `Json`
+/// nodes, no intermediate strings).
 pub fn write_value(v: &Value, out: &mut JsonBuf) {
     match v {
         Value::Null => out.null(),
@@ -95,36 +86,6 @@ fn write_columns_open_rows(schema: &Schema, out: &mut JsonBuf) {
     }
     out.end_arr();
     out.key("rows").begin_arr();
-}
-
-/// Encode a result table.
-pub fn table_to_json(t: &Table) -> Json {
-    Json::obj([
-        (
-            "columns",
-            Json::Arr(
-                t.schema
-                    .columns
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("name", Json::str(&c.name)),
-                            ("type", Json::str(c.ty.name())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Rows per emitted chunk on the streamed `/query` path: small enough to
@@ -469,7 +430,12 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
                 .and_then(Json::as_str)
                 .ok_or("missing \"context\" field")?;
             if mode == "explain" {
-                let mediated = system.mediate(sql, context).map_err(|e| e.to_string())?;
+                // The same compile path as a mediated query: the artifact
+                // comes from (and lands in) the plan cache.
+                let (prepared, _) = system
+                    .prepare_with_status(sql, context)
+                    .map_err(|e| e.to_string())?;
+                let mediated = prepared.mediated();
                 return Ok(HttpResponse::json(&Json::obj([
                     ("mediated_sql", Json::Str(mediated.query.to_string())),
                     ("explanation", Json::Str(mediated.explain())),
@@ -491,6 +457,37 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coin_rel::Table;
+
+    /// The wire text `write_value` produces for one value.
+    fn wire(v: &Value) -> String {
+        let mut out = JsonBuf::new();
+        write_value(v, &mut out);
+        out.into_string()
+    }
+
+    /// The `/query` body the result writer produces for `t` (naive mode,
+    /// so the tail is just `remote_queries`).
+    fn written_body(t: &Table, remote_queries: usize) -> String {
+        let scan = coin_rel::exec::ValuesScan::new(t.schema.clone(), t.rows.clone());
+        let stats = coin_core::ExecStats {
+            remote_queries,
+            ..Default::default()
+        };
+        let rows = PlanRows::from_parts(
+            t.schema.clone(),
+            Box::new(scan),
+            coin_rel::TempStore::new(),
+            stats,
+        );
+        let limits = Limits {
+            max_rows: 0,
+            max_bytes: 0,
+        };
+        QueryStream::new(RowSource::Naive(rows), limits)
+            .drain()
+            .unwrap()
+    }
 
     #[test]
     fn value_wire_roundtrip() {
@@ -502,9 +499,7 @@ mod tests {
             Value::Float(0.0096),
             Value::str("NTT 日本"),
         ] {
-            let j = value_to_json(&v);
-            let text = j.to_string();
-            let back = json_to_value(&parse(&text).unwrap()).unwrap();
+            let back = json_to_value(&parse(&wire(&v)).unwrap()).unwrap();
             assert_eq!(back, v);
         }
     }
@@ -513,15 +508,24 @@ mod tests {
     fn large_int_survives() {
         // 2^60 + 1 would lose precision as a JSON double.
         let v = Value::Int((1 << 60) + 1);
-        let back = json_to_value(&parse(&value_to_json(&v).to_string()).unwrap()).unwrap();
+        let back = json_to_value(&parse(&wire(&v)).unwrap()).unwrap();
         assert_eq!(back, v);
     }
 
     #[test]
     fn direct_serialization_matches_json_tree() {
-        // The buffer-direct writer behind `"stream": false` must produce a
-        // document equal to the tree-built one for every value kind,
-        // including strings needing escapes and large integers.
+        // The buffer-direct writer behind every `/query` body must produce
+        // a document equal to one built as a `Json` tree for every value
+        // kind, including strings needing escapes and large integers.
+        fn value_tree(v: &Value) -> Json {
+            match v {
+                Value::Null => Json::Null,
+                Value::Bool(b) => Json::Arr(vec![Json::str("b"), Json::Bool(*b)]),
+                Value::Int(i) => Json::Arr(vec![Json::str("i"), Json::Str(i.to_string())]),
+                Value::Float(f) => Json::Arr(vec![Json::str("f"), Json::Num(*f)]),
+                Value::Str(s) => Json::Arr(vec![Json::str("s"), Json::str(s)]),
+            }
+        }
         let t = Table::from_rows(
             "x",
             coin_rel::Schema::of(&[
@@ -535,28 +539,29 @@ mod tests {
                 vec![Value::Float(2.0), Value::str("")],
             ],
         );
-        let scan = coin_rel::exec::ValuesScan::new(t.schema.clone(), t.rows.clone());
-        let stats = coin_core::ExecStats {
-            remote_queries: 3,
-            ..Default::default()
-        };
-        let rows = PlanRows::from_parts(
-            t.schema.clone(),
-            Box::new(scan),
-            coin_rel::TempStore::new(),
-            stats,
-        );
-        let source = RowSource::Naive(rows);
-        let limits = Limits {
-            max_rows: 0,
-            max_bytes: 0,
-        };
-        let body = QueryStream::new(source, limits).drain().unwrap();
-        let Json::Obj(mut expected) = table_to_json(&t) else {
-            unreachable!("table_to_json builds an object");
-        };
-        expected.push(("remote_queries".into(), Json::Num(3.0)));
-        assert_eq!(parse(&body).unwrap(), Json::Obj(expected));
+        let body = written_body(&t, 3);
+        let columns = t
+            .schema
+            .columns
+            .iter()
+            .map(|c| {
+                Json::obj([
+                    ("name", Json::str(&c.name)),
+                    ("type", Json::str(c.ty.name())),
+                ])
+            })
+            .collect();
+        let rows = t
+            .rows
+            .iter()
+            .map(|r| Json::Arr(r.iter().map(value_tree).collect()))
+            .collect();
+        let expected = Json::obj([
+            ("columns", Json::Arr(columns)),
+            ("rows", Json::Arr(rows)),
+            ("remote_queries", Json::Num(3.0)),
+        ]);
+        assert_eq!(parse(&body).unwrap(), expected);
     }
 
     #[test]
@@ -566,7 +571,7 @@ mod tests {
             coin_rel::Schema::of(&[("a", coin_rel::ColumnType::Int)]),
             vec![vec![Value::Int(1)], vec![Value::Int(2)]],
         );
-        let j = table_to_json(&t);
+        let j = parse(&written_body(&t, 0)).unwrap();
         assert_eq!(j.get("rows").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(
             j.get("columns").unwrap().as_array().unwrap()[0]

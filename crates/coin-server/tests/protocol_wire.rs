@@ -1,12 +1,70 @@
-//! Wire-protocol tests: JSON codec round-trips, golden encodings for
-//! `value_to_json`/`table_to_json`, and a raw client↔server loopback over
-//! [`ServerHandle`] exercising the HTTP layer beneath the ODBC-style API.
+//! Wire-protocol tests: JSON codec round-trips, golden encodings of the
+//! product writers (`write_value` for values, the `/query` result writer
+//! for tables), and a raw client↔server loopback over [`ServerHandle`]
+//! exercising the HTTP layer beneath the ODBC-style API.
 
 use std::sync::Arc;
 
-use coin_rel::{ColumnType, Schema, Table, Value};
-use coin_server::protocol::json_to_value;
-use coin_server::{http, parse_json, table_to_json, value_to_json, HttpResponse, Json};
+use coin_core::{CoinSystem, DomainModel};
+use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
+use coin_server::protocol::{json_to_value, protocol_handler, write_value};
+use coin_server::{http, parse_json, HttpResponse, Json, JsonBuf};
+use coin_wrapper::RelationalSource;
+
+/// The wire text `write_value` produces for one value.
+fn wire(v: &Value) -> String {
+    let mut out = JsonBuf::new();
+    write_value(v, &mut out);
+    out.into_string()
+}
+
+/// The `"rows"` document of `rows` as `write_value` encodes them.
+fn wire_rows(rows: &[Vec<Value>]) -> String {
+    let mut out = JsonBuf::new();
+    out.begin_obj().key("rows").begin_arr();
+    for row in rows {
+        out.begin_arr();
+        for v in row {
+            write_value(v, &mut out);
+        }
+        out.end_arr();
+    }
+    out.end_arr().end_obj();
+    out.into_string()
+}
+
+/// The body `/query` answers for selecting every column of `t` in naive
+/// mode with `"stream": false`, served by the protocol handler over a
+/// one-source system holding `t`.
+fn query_body(t: Table) -> String {
+    let mut system = CoinSystem::new(DomainModel::new());
+    let columns: Vec<String> = t
+        .schema
+        .columns
+        .iter()
+        .map(|c| format!("{0} AS {0}", c.name))
+        .collect();
+    let sql = format!("SELECT {} FROM {}", columns.join(", "), t.name);
+    system
+        .add_source(RelationalSource::new("src", Catalog::new().with_table(t)))
+        .unwrap();
+    let request = http::HttpRequest {
+        method: "POST".into(),
+        path: "/query".into(),
+        query: Default::default(),
+        headers: Default::default(),
+        body: Json::obj([
+            ("sql", Json::str(&sql)),
+            ("mode", Json::str("naive")),
+            ("stream", Json::Bool(false)),
+        ])
+        .to_string()
+        .into_bytes(),
+        version: "HTTP/1.1".into(),
+    };
+    let response = protocol_handler(Arc::new(system))(&request);
+    String::from_utf8(response.body).unwrap()
+}
 
 // ---------------------------------------------------------------------------
 // JSON parse/print round-trips
@@ -79,7 +137,7 @@ fn value_encodings_are_stable() {
         (&Value::str("NTT"), r#"["s","NTT"]"#),
     ];
     for (value, golden) in cases {
-        assert_eq!(value_to_json(value).to_string(), golden);
+        assert_eq!(wire(value), golden);
         assert_eq!(
             json_to_value(&parse_json(golden).unwrap()).as_ref(),
             Some(value)
@@ -92,8 +150,7 @@ fn int_encoding_survives_f64_precision_loss() {
     // 2^53 + 1 is not representable as an f64; the string-tagged encoding
     // must carry it anyway.
     let v = Value::Int((1 << 53) + 1);
-    let wire = value_to_json(&v).to_string();
-    let back = json_to_value(&parse_json(&wire).unwrap()).unwrap();
+    let back = json_to_value(&parse_json(&wire(&v)).unwrap()).unwrap();
     assert_eq!(back, v);
 }
 
@@ -122,8 +179,8 @@ fn table_encoding_golden() {
         vec![vec![Value::str("NTT"), Value::Float(9_600_000.0)]],
     );
     assert_eq!(
-        table_to_json(&t).to_string(),
-        r#"{"columns":[{"name":"cname","type":"STR"},{"name":"revenue","type":"FLOAT"}],"rows":[[["s","NTT"],["f",9600000]]]}"#
+        query_body(t),
+        r#"{"columns":[{"name":"cname","type":"STR"},{"name":"revenue","type":"FLOAT"}],"rows":[[["s","NTT"],["f",9600000]]],"remote_queries":1}"#
     );
 }
 
@@ -147,7 +204,8 @@ fn table_with_nulls_and_every_type_roundtrips() {
             vec![Value::Null, Value::Null, Value::Null, Value::Null],
         ],
     );
-    let doc = parse_json(&table_to_json(&t).to_string()).unwrap();
+    let expected_rows = t.rows.clone();
+    let doc = parse_json(&query_body(t)).unwrap();
     let rows = doc.get("rows").unwrap().as_array().unwrap();
     assert_eq!(rows.len(), 2);
     let decoded: Vec<Vec<Value>> = rows
@@ -160,7 +218,7 @@ fn table_with_nulls_and_every_type_roundtrips() {
                 .collect()
         })
         .collect();
-    assert_eq!(decoded, t.rows);
+    assert_eq!(decoded, expected_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,36 +235,29 @@ fn raw_json_loopback_over_server_handle() {
             Err(e) => return HttpResponse::error(400, &e.to_string()),
         };
         let rows = doc.get("rows").and_then(Json::as_array).unwrap_or(&[]);
-        let doubled: Vec<Json> = rows
+        let doubled: Vec<Vec<Value>> = rows
             .iter()
             .map(|row| {
-                Json::Arr(
-                    row.as_array()
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|v| match json_to_value(v) {
-                            Some(Value::Int(i)) => value_to_json(&Value::Int(i * 2)),
-                            Some(other) => value_to_json(&other),
-                            None => Json::Null,
-                        })
-                        .collect(),
-                )
+                row.as_array()
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(|v| match json_to_value(v) {
+                        Some(Value::Int(i)) => Value::Int(i * 2),
+                        other => other.unwrap_or(Value::Null),
+                    })
+                    .collect()
             })
             .collect();
-        HttpResponse::json(&Json::obj([("rows", Json::Arr(doubled))]))
+        HttpResponse::json_raw(wire_rows(&doubled))
     });
     let server = http::serve("127.0.0.1:0", 2, handler).unwrap();
 
-    let t = Table::from_rows(
-        "t",
-        Schema::of(&[("x", ColumnType::Int)]),
-        vec![vec![Value::Int(21)], vec![Value::Int(-4)]],
-    );
+    let rows = vec![vec![Value::Int(21)], vec![Value::Int(-4)]];
     let reply = http::post(
         &server.addr,
         "/double",
         "application/json",
-        table_to_json(&t).to_string().as_bytes(),
+        wire_rows(&rows).as_bytes(),
     )
     .unwrap();
     let doc = parse_json(&String::from_utf8_lossy(&reply)).unwrap();

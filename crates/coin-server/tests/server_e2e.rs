@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use coin_core::fixtures::figure2_system;
 use coin_rel::Value;
-use coin_server::{http, start_server, Connection};
+use coin_server::{http, parse_json, start_server, Connection, Json};
 
 const Q1: &str = "SELECT r1.cname, r1.revenue FROM r1, r2 \
                   WHERE r1.cname = r2.cname AND r1.revenue > r2.expenses";
@@ -180,5 +180,100 @@ fn stats_endpoint_reports_cumulative_counters() {
         after.epoch, before.epoch,
         "queries must not mutate the model"
     );
+    server.stop();
+}
+
+/// POST one `/query` body and parse the (non-streamed) answer.
+fn post_query(server: &coin_server::ServerHandle, body: Json) -> Json {
+    let reply = http::post(
+        &server.addr,
+        "/query",
+        "application/json",
+        body.to_string().as_bytes(),
+    )
+    .unwrap();
+    parse_json(&String::from_utf8_lossy(&reply)).unwrap()
+}
+
+#[test]
+fn overflowing_float_literals_are_errors_in_both_modes() {
+    // `1e400` is infinity as an f64; it used to mediate to the atom `inf`
+    // (a silent empty answer) or a type mismatch. Both modes now refuse it
+    // at lexing, and a large finite literal still answers.
+    let (server, _conn) = start();
+    for mode in ["naive", "mediated"] {
+        for (predicate, rows) in [
+            ("r1.revenue < 1e400", None),
+            ("r1.revenue > -1e400", None),
+            ("r1.revenue < 1e300", Some(2)),
+        ] {
+            let sql = format!("SELECT r1.cname FROM r1 WHERE {predicate}");
+            let doc = post_query(
+                &server,
+                Json::obj([
+                    ("sql", Json::str(&sql)),
+                    ("context", Json::str("c_recv")),
+                    ("mode", Json::str(mode)),
+                    ("stream", Json::Bool(false)),
+                ]),
+            );
+            match rows {
+                None => {
+                    let err = doc.get("error").and_then(Json::as_str);
+                    assert!(
+                        err.is_some_and(|e| e.contains("numeric literal out of range")),
+                        "{mode} {predicate}: {doc}"
+                    );
+                }
+                Some(n) => {
+                    let got = doc.get("rows").and_then(Json::as_array).map(<[Json]>::len);
+                    assert_eq!(got, Some(n), "{mode} {predicate}: {doc}");
+                }
+            }
+        }
+    }
+    server.stop();
+}
+
+#[test]
+fn case_budget_overflow_is_a_query_error() {
+    let (server, _conn) = start();
+    let items: Vec<String> = (0..7).map(|i| format!("t{i}.revenue")).collect();
+    let from: Vec<String> = (0..7).map(|i| format!("r1 t{i}")).collect();
+    let sql = format!("SELECT {} FROM {}", items.join(", "), from.join(", "));
+    let doc = post_query(
+        &server,
+        Json::obj([
+            ("sql", Json::str(&sql)),
+            ("context", Json::str("c_recv")),
+            ("stream", Json::Bool(false)),
+        ]),
+    );
+    assert!(doc.get("error").is_some(), "{doc}");
+    assert!(doc.get("rows").is_none(), "{doc}");
+    server.stop();
+}
+
+#[test]
+fn explain_then_query_compiles_once() {
+    // Explain and a mediated query of the same SQL share one compile path:
+    // the explain's artifact lands in the plan cache and the query hits it.
+    let (server, conn) = start();
+    conn.explain(Q1).unwrap();
+    let doc = post_query(
+        &server,
+        Json::obj([
+            ("sql", Json::str(Q1)),
+            ("context", Json::str("c_recv")),
+            ("stream", Json::Bool(false)),
+        ]),
+    );
+    assert_eq!(
+        doc.get("cache").and_then(Json::as_str),
+        Some("hit"),
+        "{doc}"
+    );
+    let stats = conn.server_stats().unwrap();
+    assert_eq!(stats.cache_compiles, 1);
     server.stop();
 }

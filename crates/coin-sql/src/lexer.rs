@@ -290,11 +290,21 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 }
                 let text = std::str::from_utf8(&bytes[start..i]).unwrap();
                 let tok = if is_float {
-                    Tok::Float(text.parse().map_err(|e| LexError {
+                    let f: f64 = text.parse().map_err(|e| LexError {
                         message: format!("bad float {text}: {e}"),
                         line: tline,
                         col: tcol,
-                    })?)
+                    })?;
+                    // `1e400` parses to infinity, which no later stage can
+                    // print back as a literal.
+                    if !f.is_finite() {
+                        return Err(LexError {
+                            message: format!("numeric literal out of range: {text}"),
+                            line: tline,
+                            col: tcol,
+                        });
+                    }
+                    Tok::Float(f)
                 } else {
                     Tok::Int(text.parse().map_err(|e| LexError {
                         message: format!("bad integer {text}: {e}"),
@@ -399,6 +409,15 @@ mod tests {
                 Tok::Float(0.025)
             ]
         );
+    }
+
+    #[test]
+    fn non_finite_literals_are_refused() {
+        for src in ["1e400", "2.5e309"] {
+            let e = lex(src).unwrap_err();
+            assert!(e.message.contains("numeric literal out of range"), "{e:?}");
+        }
+        assert_eq!(toks("1e300"), vec![Tok::Float(1e300)]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! Run with: `cargo run --example scalability`
 
-use coin::core::baseline::PairwiseIntegration;
 use coin::core::fixtures::{add_synthetic_source, synthetic_system, Rng};
+use coin_bench::pairwise::PairwiseIntegration;
 
 fn main() {
     println!("=== Administration cost: COIN contexts vs pairwise integration ===\n");
